@@ -121,6 +121,18 @@ class CorePool {
   std::unique_ptr<Impl> impl_;
 };
 
+/// Fan-out crossover, in word operations (one lane-step of a bulk program,
+/// or one word moved by a gather).  A region with less total work than this
+/// runs inline on its calling thread: about a millisecond of single-core
+/// work at the 1-2 ns per lane-step the compiled engine runs (Fig. 11),
+/// against the tens of microseconds and spinning CPU it costs to wake
+/// parked workers, hand them tiles and wait for the steals to finish.
+/// Plans apply it per run (ExecutionPlan::workers_for_lanes), so a serving
+/// batch of a small program runs whole on its executor thread while every
+/// paper-scale bulk run still fans out; gathers apply it to the words they
+/// move (HostBulkExecutor::gather_outputs).
+inline constexpr std::uint64_t kFanOutMinWork = std::uint64_t{1} << 20;
+
 /// Tile grain for coarse interpreted chunks: ~4 tiles per worker (enough
 /// slack for stealing to fix imbalance, few enough that per-chunk costs —
 /// e.g. one program-stream drain per chunk — stay amortised), in lanes,

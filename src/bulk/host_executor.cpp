@@ -219,7 +219,10 @@ void HostBulkExecutor::gather_outputs(const trace::Program& program,
   const std::size_t ow = program.output_words;
   out.resize(p * ow);
   if (ow == 0) return;
-  parallel_for_chunks(p, options_.workers, 1, [&](std::size_t begin, std::size_t end) {
+  // A gather moving fewer words than the fan-out crossover (a serving
+  // batch's outputs, typically) is cheaper as one copy on this thread.
+  const unsigned workers = std::uint64_t{p} * ow < kFanOutMinWork ? 1u : options_.workers;
+  parallel_for_chunks(p, workers, 1, [&](std::size_t begin, std::size_t end) {
     if (layout_.arrangement() == Arrangement::kColumnWise) {
       // Two-level tiled transpose (mirror of the compiled backend's tile
       // scatter): lane sub-blocks keep the destination pages TLB-resident,

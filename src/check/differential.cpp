@@ -263,7 +263,7 @@ std::optional<Divergence> run_config(const trace::Program& program,
     bulk::HostRunResult run;
     try {
       plan = plan::Planner(po).build(program);
-      run = bulk::HostBulkExecutor(plan->layout(p), plan->host_options())
+      run = bulk::HostBulkExecutor(plan->layout(p), plan->host_options(p))
                 .run(plan->program(), inputs);
     } catch (const std::exception& e) {
       return fail(std::string("threw: ") + e.what());

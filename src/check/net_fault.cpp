@@ -181,9 +181,21 @@ FrameFuzzReport run_frame_fuzz(const FrameFuzzOptions& options) {
   // Leg 2: directed malformations.  Each must be rejected (or, for byte
   // flips that happen to land harmlessly, still decode) without crashing.
   for (std::size_t i = 0; i < options.mutations; ++i) {
-    std::vector<std::uint8_t> bytes = encode(random_frame(rng));
-    const std::size_t mutation = rng.next_below(7);
+    const Frame frame = random_frame(rng);
+    std::vector<std::uint8_t> bytes = encode(frame);
+    const std::size_t mutation = rng.next_below(9);
     bool must_reject = false;
+    // Word-block frames: where the payload's u32 word count sits, and how
+    // many payload bytes the words occupy.
+    std::size_t count_at = 0;
+    std::size_t word_bytes = 0;
+    if (const auto* s = std::get_if<SubmitFrame>(&frame)) {
+      count_at = kFrameHeaderBytes + 16;
+      word_bytes = 8 * s->input.size();
+    } else if (const auto* r = std::get_if<ResponseFrame>(&frame)) {
+      count_at = kFrameHeaderBytes + 24;
+      word_bytes = 8 * r->output.size();
+    }
     bool truncated = false;
     switch (mutation) {
       case 0:  // truncated header
@@ -219,6 +231,27 @@ FrameFuzzReport run_frame_fuzz(const FrameFuzzOptions& options) {
       case 5:  // bad type
         bytes[5] = static_cast<std::uint8_t>(6 + rng.next_below(200));
         must_reject = true;
+        break;
+      case 6:  // hostile word count: near UINT32_MAX, or count * 8 wraps
+        if (count_at != 0) {
+          const std::uint32_t hostile[] = {0xffffffffu, 0xfffffffeu, 0x80000000u,
+                                           0x20000000u, 0x20000001u};
+          const std::uint32_t count = hostile[rng.next_below(std::size(hostile))];
+          for (std::size_t b = 0; b < 4; ++b) {
+            bytes[count_at + b] = static_cast<std::uint8_t>(count >> (8 * b));
+          }
+          must_reject = true;
+        }
+        break;
+      case 7:  // payload cut mid-word, header length patched to match
+        if (word_bytes != 0) {
+          bytes.resize(bytes.size() - 1 - rng.next_below(7));
+          const auto length = static_cast<std::uint32_t>(bytes.size() - kFrameHeaderBytes);
+          for (std::size_t b = 0; b < 4; ++b) {
+            bytes[8 + b] = static_cast<std::uint8_t>(length >> (8 * b));
+          }
+          must_reject = true;
+        }
         break;
       default:  // random byte flip anywhere (may stay valid)
         if (!bytes.empty()) {

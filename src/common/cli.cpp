@@ -1,11 +1,17 @@
 #include "common/cli.hpp"
 
 #include <charconv>
-#include <stdexcept>
-
-#include "common/check.hpp"
+#include <exception>
 
 namespace obx::cli {
+
+namespace {
+
+void require(bool ok, const std::string& message) {
+  if (!ok) throw UsageError(message);
+}
+
+}  // namespace
 
 Args Args::parse(int argc, const char* const* argv,
                  const std::set<std::string>& bool_flags,
@@ -25,18 +31,18 @@ Args Args::parse(int argc, const char* const* argv,
       key = key.substr(0, eq);
       has_value = true;
     }
-    OBX_CHECK(!key.empty(), "empty option name");
+    require(!key.empty(), "empty option name");
     if (!known_options.empty()) {
-      OBX_CHECK(known_options.count(key) > 0 || bool_flags.count(key) > 0,
-                "unknown option --" + key);
+      require(known_options.count(key) > 0 || bool_flags.count(key) > 0,
+              "unknown option --" + key);
     }
     if (bool_flags.count(key) > 0) {
-      OBX_CHECK(!has_value, "flag --" + key + " takes no value");
+      require(!has_value, "flag --" + key + " takes no value");
       args.options_[key] = "true";
       continue;
     }
     if (!has_value) {
-      OBX_CHECK(i + 1 < argc, "option --" + key + " needs a value");
+      require(i + 1 < argc, "option --" + key + " needs a value");
       value = argv[++i];
     }
     args.options_[key] = std::move(value);
@@ -55,24 +61,25 @@ std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const 
   std::int64_t out = 0;
   const auto& s = it->second;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  OBX_CHECK(ec == std::errc() && ptr == s.data() + s.size(),
-            "option --" + key + " is not an integer: " + s);
+  require(ec == std::errc() && ptr == s.data() + s.size(),
+          "option --" + key + " is not an integer: " + s);
   return out;
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
+  const std::string& s = it->second;
+  std::size_t consumed = 0;
+  double v = 0;
   try {
-    std::size_t consumed = 0;
-    const double v = std::stod(it->second, &consumed);
-    OBX_CHECK(consumed == it->second.size(),
-              "option --" + key + " is not a number: " + it->second);
-    return v;
-  } catch (const std::invalid_argument&) {
-    OBX_CHECK(false, "option --" + key + " is not a number: " + it->second);
+    v = std::stod(s, &consumed);
+  } catch (const std::exception&) {
+    consumed = 0;  // not a number, or out of double's range
   }
-  return fallback;
+  require(consumed != 0 && consumed == s.size(),
+          "option --" + key + " is not a number: " + s);
+  return v;
 }
 
 }  // namespace obx::cli

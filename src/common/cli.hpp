@@ -2,22 +2,33 @@
 //
 // Supports `--key value`, `--key=value`, boolean `--flag`, and positional
 // arguments.  Unknown options are errors; values are validated on access.
+// Every malformed command line throws UsageError, so a tool can answer it
+// with its usage text instead of an internal-check trace.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace obx::cli {
 
+/// A command line the tool cannot accept: an unknown option, a missing or
+/// malformed value.  The message names the option and nothing else.
+class UsageError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
 class Args {
  public:
   /// Parses argv[1..); `bool_flags` names the options that take no value.
-  /// Throws std::logic_error on malformed input or unknown options when
-  /// `known_options` is non-empty.
+  /// Throws UsageError on malformed input, or on unknown options when
+  /// `known_options` is non-empty.  Values are checked on access
+  /// (get_int / get_double throw UsageError too).
   static Args parse(int argc, const char* const* argv,
                     const std::set<std::string>& bool_flags = {},
                     const std::set<std::string>& known_options = {});

@@ -136,11 +136,12 @@ std::string Client::scrape_stats() {
 }
 
 bool Client::send_frame(const Frame& frame) {
-  const std::vector<std::uint8_t> bytes = encode(frame);
+  send_buf_.clear();
+  encode_frame(frame, send_buf_);
   std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const IoResult r = socket_.write_some(bytes.data() + sent,
-                                          bytes.size() - sent);
+  while (sent < send_buf_.size()) {
+    const IoResult r = socket_.write_some(send_buf_.data() + sent,
+                                          send_buf_.size() - sent);
     if (r.kind == IoResult::Kind::kOk) {
       sent += r.bytes;
       continue;
@@ -164,7 +165,7 @@ bool Client::read_frame(Frame& out) {
       case FrameReader::Status::kNeedMore:
         break;
     }
-    std::uint8_t chunk[4096];
+    std::uint8_t chunk[kReadChunkBytes];
     const IoResult r = socket_.read_some(chunk, sizeof(chunk));
     if (r.kind == IoResult::Kind::kOk) {
       reader_.feed(chunk, r.bytes);

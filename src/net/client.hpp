@@ -97,6 +97,8 @@ class Client {
 
   Socket socket_;
   FrameReader reader_;
+  /// Encoding buffer reused by every send_frame().
+  std::vector<std::uint8_t> send_buf_;
   std::string transport_error_;
   std::uint32_t next_request_id_ = 1;
   /// Ids submitted whose Response/Error frame has not arrived yet.

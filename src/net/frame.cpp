@@ -1,5 +1,6 @@
 #include "net/frame.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -8,35 +9,71 @@ namespace obx::net {
 
 namespace {
 
-// --- little-endian scalar writers -----------------------------------------
+// --- little-endian byte order ---------------------------------------------
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "mixed-endian hosts are not supported");
+
+/// Reverses the bytes of an unsigned integer (the big-endian fallback).
+template <typename T>
+T byte_swap(T v) {
+  T out = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out = static_cast<T>((out << 8) | ((v >> (8 * i)) & 0xff));
+  }
+  return out;
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
+/// Host order <-> little-endian (the wire order); an involution.
+template <typename T>
+T little_endian(T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return v;
+  } else {
+    return byte_swap(v);
   }
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
-  }
+template <typename T>
+void store_le(std::uint8_t* at, T v) {
+  v = little_endian(v);
+  std::memcpy(at, &v, sizeof(T));
+}
+
+template <typename T>
+T load_le(const std::uint8_t* at) {
+  T v;
+  std::memcpy(&v, at, sizeof(T));
+  return little_endian(v);
+}
+
+// --- writers: append to the frame buffer -----------------------------------
+
+template <typename T>
+void put(std::vector<std::uint8_t>& out, T v) {
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(T));
+  store_le(out.data() + at, v);
 }
 
 void put_bytes(std::vector<std::uint8_t>& out, const std::string& s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
+/// A whole word block in one resize + copy.
 void put_words(std::vector<std::uint8_t>& out, const std::vector<Word>& words) {
-  for (Word w : words) put_u64(out, static_cast<std::uint64_t>(w));
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(Word) * words.size());
+  std::uint8_t* dst = out.data() + at;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!words.empty()) std::memcpy(dst, words.data(), sizeof(Word) * words.size());
+  } else {
+    for (const Word w : words) {
+      store_le(dst, w);
+      dst += sizeof(Word);
+    }
+  }
 }
 
 // --- bounds-checked little-endian cursor ----------------------------------
@@ -51,40 +88,42 @@ class Cursor {
   bool ok() const { return ok_; }
   std::size_t remaining() const { return size_ - pos_; }
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(scalar(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(scalar(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(scalar(4)); }
-  std::uint64_t u64() { return scalar(8); }
-  std::int64_t i64() { return static_cast<std::int64_t>(scalar(8)); }
+  std::uint8_t u8() { return scalar<std::uint8_t>(); }
+  std::uint16_t u16() { return scalar<std::uint16_t>(); }
+  std::uint32_t u32() { return scalar<std::uint32_t>(); }
+  std::uint64_t u64() { return scalar<std::uint64_t>(); }
+  std::int64_t i64() { return static_cast<std::int64_t>(scalar<std::uint64_t>()); }
 
   std::string str(std::size_t n) {
     if (!take(n)) return {};
-    std::string s(reinterpret_cast<const char*>(data_ + pos_ - n), n);
-    return s;
+    return std::string(reinterpret_cast<const char*>(data_ + pos_ - n), n);
   }
 
+  /// A whole word block in one resize + copy.
   std::vector<Word> words(std::size_t count) {
     std::vector<Word> out;
-    if (count > remaining() / 8) {  // cheap pre-check before reserving
+    // Divide rather than multiply: count * 8 may overflow, and checking
+    // before resizing means a hostile count never allocates.
+    if (count > remaining() / sizeof(Word)) {
       ok_ = false;
       return out;
     }
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      out.push_back(static_cast<Word>(u64()));
+    const std::uint8_t* src = data_ + pos_;
+    take(sizeof(Word) * count);
+    out.resize(count);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (count != 0) std::memcpy(out.data(), src, sizeof(Word) * count);
+    } else {
+      for (std::size_t i = 0; i < count; ++i) out[i] = load_le<Word>(src + sizeof(Word) * i);
     }
-    if (!ok_) out.clear();
     return out;
   }
 
  private:
-  std::uint64_t scalar(std::size_t n) {
-    if (!take(n)) return 0;
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ - n + i]) << (8 * i);
-    }
-    return v;
+  template <typename T>
+  T scalar() {
+    if (!take(sizeof(T))) return 0;
+    return load_le<T>(data_ + pos_ - sizeof(T));
   }
 
   bool take(std::size_t n) {
@@ -105,13 +144,13 @@ class Cursor {
 // --- per-type payload codecs ----------------------------------------------
 
 void encode_payload(const SubmitFrame& f, std::vector<std::uint8_t>& out) {
-  put_u16(out, static_cast<std::uint16_t>(f.program_id.size()));
-  put_u16(out, static_cast<std::uint16_t>(f.tenant.size()));
-  put_u8(out, static_cast<std::uint8_t>(f.priority));
-  put_u8(out, 0);  // reserved
-  put_u16(out, 0);  // reserved
-  put_u64(out, static_cast<std::uint64_t>(f.deadline_us));
-  put_u32(out, static_cast<std::uint32_t>(f.input.size()));
+  put<std::uint16_t>(out, static_cast<std::uint16_t>(f.program_id.size()));
+  put<std::uint16_t>(out, static_cast<std::uint16_t>(f.tenant.size()));
+  put<std::uint8_t>(out, static_cast<std::uint8_t>(f.priority));
+  put<std::uint8_t>(out, 0);  // reserved
+  put<std::uint16_t>(out, 0);  // reserved
+  put<std::uint64_t>(out, static_cast<std::uint64_t>(f.deadline_us));
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(f.input.size()));
   put_bytes(out, f.program_id);
   put_bytes(out, f.tenant);
   put_words(out, f.input);
@@ -136,13 +175,13 @@ bool decode_payload(Cursor& c, SubmitFrame& f) {
 }
 
 void encode_payload(const ResponseFrame& f, std::vector<std::uint8_t>& out) {
-  put_u8(out, static_cast<std::uint8_t>(f.status));
-  put_u8(out, f.deadline_missed ? 1 : 0);
-  put_u16(out, 0);  // reserved
-  put_u32(out, f.batch_lanes);
-  put_u64(out, f.queue_delay_us);
-  put_u64(out, f.latency_us);
-  put_u32(out, static_cast<std::uint32_t>(f.output.size()));
+  put<std::uint8_t>(out, static_cast<std::uint8_t>(f.status));
+  put<std::uint8_t>(out, f.deadline_missed ? 1 : 0);
+  put<std::uint16_t>(out, 0);  // reserved
+  put<std::uint32_t>(out, f.batch_lanes);
+  put<std::uint64_t>(out, f.queue_delay_us);
+  put<std::uint64_t>(out, f.latency_us);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(f.output.size()));
   put_words(out, f.output);
 }
 
@@ -164,9 +203,9 @@ bool decode_payload(Cursor& c, ResponseFrame& f) {
 }
 
 void encode_payload(const ErrorFrame& f, std::vector<std::uint8_t>& out) {
-  put_u16(out, static_cast<std::uint16_t>(f.code));
-  put_u16(out, 0);  // reserved
-  put_u32(out, static_cast<std::uint32_t>(f.message.size()));
+  put<std::uint16_t>(out, static_cast<std::uint16_t>(f.code));
+  put<std::uint16_t>(out, 0);  // reserved
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(f.message.size()));
   put_bytes(out, f.message);
 }
 
@@ -191,7 +230,7 @@ bool decode_payload(Cursor&, StatsRequestFrame&) { return true; }
 
 void encode_payload(const StatsResponseFrame& f,
                     std::vector<std::uint8_t>& out) {
-  put_u32(out, static_cast<std::uint32_t>(f.text.size()));
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(f.text.size()));
   put_bytes(out, f.text);
 }
 
@@ -256,15 +295,13 @@ void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
   OBX_CHECK(payload_bytes <= kMaxFramePayloadBytes,
             "frame payload exceeds protocol maximum");
 
-  std::vector<std::uint8_t> header;
-  header.reserve(kFrameHeaderBytes);
-  put_u32(header, kFrameMagic);
-  put_u8(header, kProtocolVersion);
-  put_u8(header, static_cast<std::uint8_t>(type_of(frame)));
-  put_u16(header, 0);  // flags
-  put_u32(header, static_cast<std::uint32_t>(payload_bytes));
-  put_u32(header, request_id_of(frame));
-  std::memcpy(out.data() + header_at, header.data(), kFrameHeaderBytes);
+  std::uint8_t* header = out.data() + header_at;
+  store_le(header, kFrameMagic);
+  header[4] = kProtocolVersion;
+  header[5] = static_cast<std::uint8_t>(type_of(frame));
+  store_le(header + 6, std::uint16_t{0});  // flags
+  store_le(header + 8, static_cast<std::uint32_t>(payload_bytes));
+  store_le(header + 12, request_id_of(frame));
 }
 
 std::vector<std::uint8_t> encode(const Frame& frame) {

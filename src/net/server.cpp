@@ -43,14 +43,19 @@ struct Inbox {
   WakePipe* wake = nullptr;          ///< guarded by mutex; null once closed
   std::atomic<std::uint64_t> dropped_after_close{0};
 
+  /// Edge-triggered: only the post that makes `pending` non-empty writes
+  /// the wake pipe.  The loop drains the pipe before it swaps `pending` out,
+  /// so every later post either joins a swap still to come or finds the
+  /// inbox empty again and wakes the loop itself.
   void post(Completion&& c) {
     std::lock_guard<std::mutex> lock(mutex);
     if (!open) {
       dropped_after_close.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    const bool was_empty = pending.empty();
     pending.push_back(std::move(c));
-    if (wake) wake->notify();
+    if (was_empty && wake) wake->notify();
   }
 };
 
@@ -86,6 +91,8 @@ struct Connection {
   Clock::time_point last_frame;
   /// Set while write_buf is nonempty: last time a byte reached the kernel.
   Clock::time_point last_write_progress;
+  /// Frames were queued this loop pass; flush_new_output() writes them.
+  bool unflushed = false;
   /// No further reads; close once output is flushed and in_flight is 0.
   bool closing = false;
 
@@ -177,6 +184,7 @@ class Server::Loop {
 
       deliver_completions(now);
       retry_parked(now);
+      flush_new_output(now);
       enforce_timeouts(now);
       reap_closed();
     }
@@ -243,12 +251,11 @@ class Server::Loop {
   void handle_readable(std::map<std::uint64_t, Connection>::iterator it,
                        Clock::time_point now) {
     Connection& conn = it->second;
-    std::uint8_t chunk[4096];
     bool saw_eof = false;
     for (;;) {
-      const IoResult r = conn.socket.read_some(chunk, sizeof(chunk));
+      const IoResult r = conn.socket.read_some(read_buf_.data(), read_buf_.size());
       if (r.kind == IoResult::Kind::kOk) {
-        conn.reader.feed(chunk, r.bytes);
+        conn.reader.feed(read_buf_.data(), r.bytes);
         continue;
       }
       if (r.kind == IoResult::Kind::kWouldBlock) break;
@@ -339,10 +346,10 @@ class Server::Loop {
     auto done = [inbox, conn_id, request_id](serve::JobResult&& result) {
       inbox->post(Completion{conn_id, request_id, std::move(result)});
     };
-    std::vector<Word> input = submit.input;  // keep a copy for retry-on-park
     const serve::BulkService::TrySubmit outcome = service_.try_submit(
-        submit.program_id, std::move(input), options, std::move(done));
+        submit.program_id, std::move(submit.input), options, std::move(done));
     if (outcome == serve::BulkService::TrySubmit::kWouldBlock) {
+      // try_submit handed the input back: the parked frame is whole again.
       stats_.would_block.fetch_add(1, std::memory_order_relaxed);
       conn.parked = std::move(submit);
       ++parked_count_;
@@ -419,6 +426,9 @@ class Server::Loop {
     send_frame(conn, Frame{std::move(error)}, now);
   }
 
+  /// Queues a frame; the write itself waits for flush_new_output() at the
+  /// end of the loop pass, so every frame a connection gets in one pass
+  /// (a batch's worth of responses, typically) leaves in one send.
   void send_frame(Connection& conn, const Frame& frame, Clock::time_point now) {
     if (!conn.want_write()) {
       conn.write_buf.clear();
@@ -426,7 +436,17 @@ class Server::Loop {
       conn.last_write_progress = now;
     }
     encode_frame(frame, conn.write_buf);
-    flush_writes(conn, now);  // opportunistic: most responses fit in-kernel
+    conn.unflushed = true;
+  }
+
+  /// Opportunistic write of everything queued this pass: most of it fits
+  /// in-kernel, and what does not waits for POLLOUT.
+  void flush_new_output(Clock::time_point now) {
+    for (auto& [id, conn] : connections_) {
+      if (!conn.unflushed) continue;
+      conn.unflushed = false;
+      flush_writes(conn, now);
+    }
   }
 
   void flush_writes(Connection& conn, Clock::time_point now) {
@@ -526,6 +546,8 @@ class Server::Loop {
   WakePipe wake_;
   std::shared_ptr<Inbox> inbox_;
   std::map<std::uint64_t, Connection> connections_;
+  /// One read buffer shared by every connection: the loop reads one at a time.
+  std::vector<std::uint8_t> read_buf_ = std::vector<std::uint8_t>(kReadChunkBytes);
   std::uint64_t next_conn_id_ = 1;
   std::size_t parked_count_ = 0;
   std::atomic<bool> stopping_{false};

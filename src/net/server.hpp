@@ -4,8 +4,10 @@
 // reassembles frames (net/frame.hpp), validates submissions, and feeds them
 // into the service with try_submit — the callback-based, never-blocking
 // admission path.  Completions arrive on executor threads, are posted to a
-// mutex-guarded inbox, and a self-pipe wakes the loop to encode response
-// frames back onto the owning connection.
+// mutex-guarded inbox, and a self-pipe wakes the loop (only when the inbox
+// turns non-empty) to encode response frames back onto the owning
+// connection.  Every frame a connection gets in one loop pass leaves in one
+// send at the end of the pass.
 //
 // Backpressure and abuse handling:
 //   * A submission whose priority maps to the kBlock overflow policy on a

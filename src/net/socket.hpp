@@ -11,6 +11,13 @@
 
 namespace obx::net {
 
+/// Bytes the server loop and the client ask for per socket read: a 64-lane
+/// batch of responses for a program of a few hundred words arrives in one
+/// or two reads instead of dozens.  The server keeps one such buffer for its
+/// loop thread, the client one on the reading thread's stack: per thread,
+/// never per connection.
+inline constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
+
 /// Result of a nonblocking read or write attempt.
 struct IoResult {
   enum class Kind {

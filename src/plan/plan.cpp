@@ -107,9 +107,14 @@ bulk::Layout ExecutionPlan::layout(std::size_t lanes) const {
   return bulk::make_layout(program_, lanes, arrangement_, arrangement_param_);
 }
 
-bulk::HostBulkExecutor::Options ExecutionPlan::host_options() const {
+unsigned ExecutionPlan::workers_for_lanes(std::size_t lanes) const {
+  const std::uint64_t work = std::uint64_t{lanes} * provenance_.after.total();
+  return work < bulk::kFanOutMinWork ? 1u : workers_;
+}
+
+bulk::HostBulkExecutor::Options ExecutionPlan::host_options(std::size_t lanes) const {
   return bulk::HostBulkExecutor::Options{
-      .workers = workers_,
+      .workers = workers_for_lanes(lanes),
       .backend = backend_,
       .tile_lanes = options_.tile_lanes,
       .compile_budget_steps = options_.compile_budget_steps,
@@ -120,7 +125,7 @@ bulk::StreamingExecutor::Options ExecutionPlan::streaming_options(
     std::size_t max_resident_lanes) const {
   return bulk::StreamingExecutor::Options{
       .max_resident_lanes = max_resident_lanes,
-      .workers = workers_,
+      .workers = workers_for_lanes(max_resident_lanes),
       .arrangement = arrangement_,
       .arrangement_param = arrangement_param_,
       .backend = backend_,

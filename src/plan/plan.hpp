@@ -267,6 +267,12 @@ class ExecutionPlan {
   /// Host threads per bulk run (resolved: never 0).
   unsigned workers() const { return workers_; }
 
+  /// Host threads for one run at the given occupancy: workers(), or 1 when
+  /// the run's work (lanes x per-lane steps of program()) is below
+  /// bulk::kFanOutMinWork — the fan-out would cost more than it saves, so
+  /// the run (lockstep region and gather) stays on the calling thread.
+  unsigned workers_for_lanes(std::size_t lanes) const;
+
   const PlanOptions& options() const { return options_; }
   const PlanProvenance& provenance() const { return provenance_; }
 
@@ -291,10 +297,11 @@ class ExecutionPlan {
   /// Layout of a bulk run at the given occupancy under the chosen arrangement.
   bulk::Layout layout(std::size_t lanes) const;
 
-  /// The executor option structs this plan stands for.  Exists so the
-  /// pre-plan Options surface keeps working; prefer the plan-driven executor
-  /// constructors or plan::run / plan::run_streaming.
-  bulk::HostBulkExecutor::Options host_options() const;
+  /// The executor option structs this plan stands for, sized for runs of
+  /// `lanes` (resident) lanes.  Exists so the pre-plan Options surface keeps
+  /// working; prefer the plan-driven executor constructors or plan::run /
+  /// plan::run_streaming.
+  bulk::HostBulkExecutor::Options host_options(std::size_t lanes) const;
   bulk::StreamingExecutor::Options streaming_options(std::size_t max_resident_lanes) const;
 
   /// Human- and diff-friendly description of decisions + provenance +

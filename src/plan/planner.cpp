@@ -216,7 +216,7 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
           options_.tune.lanes == 0 ? options_.reference_lanes : options_.tune.lanes;
       const std::vector<Word> zeros(lanes * plan->program_.input_words, Word{0});
       bulk::HostBulkExecutor::Options ho;
-      ho.workers = plan->workers_;
+      ho.workers = plan->workers_for_lanes(lanes);
       ho.backend = plan->backend_;
       ho.tile_lanes = options_.tile_lanes;
       ho.compile_budget_steps = options_.compile_budget_steps;

@@ -123,8 +123,8 @@ BulkService::TrySubmit BulkService::admit(Job&& job, bool allow_block) {
 
   if (result == AdmissionQueue::PushResult::kWouldBlock) {
     // Nothing happened: hand the quota token back so the retry is not
-    // charged twice.  (push leaves the job untouched, but our caller keeps
-    // the original input, so the Job itself can be dropped.)
+    // charged twice.  push leaves the job untouched, so the caller still
+    // owns it (try_submit hands its input back).
     tenants_.refund(tenant_id);
     return TrySubmit::kWouldBlock;
   }
@@ -182,7 +182,7 @@ std::future<JobResult> BulkService::submit(const std::string& id,
 }
 
 BulkService::TrySubmit BulkService::try_submit(const std::string& id,
-                                               std::vector<Word> input,
+                                               std::vector<Word>&& input,
                                                const SubmitOptions& options,
                                                std::function<void(JobResult&&)> done) {
   const PreparedProgram& prepared = programs_->get(id);
@@ -201,7 +201,9 @@ BulkService::TrySubmit BulkService::try_submit(const std::string& id,
   if (options.deadline.has_value()) job.deadline = job.enqueue_time + *options.deadline;
   job.on_complete = std::move(done);
 
-  return admit(std::move(job), /*allow_block=*/false);
+  const TrySubmit outcome = admit(std::move(job), /*allow_block=*/false);
+  if (outcome == TrySubmit::kWouldBlock) input = std::move(job.input);
+  return outcome;
 }
 
 void BulkService::resolve_dropped(Job&& job, JobStatus status) {

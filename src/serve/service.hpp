@@ -68,7 +68,8 @@ struct ServiceOptions {
   /// Parallelism target inside one batch's StreamingExecutor, passed to the
   /// shared CorePool per run.  0 (default) = one consumer per pool worker;
   /// 1 = run batches inline on their executor thread (the pre-pool
-  /// behaviour).
+  /// behaviour).  Batches below the fan-out crossover (bulk::kFanOutMinWork
+  /// lane-steps) run inline regardless: the plan sizes each run's workers.
   unsigned workers_per_batch = 0;
   /// Machine model + optimisation policy for per-program characterisation
   /// (reference_lanes is overridden with batcher.max_batch_lanes).
@@ -130,8 +131,10 @@ class BulkService {
   /// `done` is invoked exactly once with the terminal JobResult — possibly
   /// synchronously (quota/queue rejection) and possibly from an executor
   /// thread — unless kWouldBlock is returned, in which case nothing was
-  /// admitted or charged and `done` will never be called.
-  TrySubmit try_submit(const std::string& id, std::vector<Word> input,
+  /// admitted or charged, `done` will never be called, and `input` is handed
+  /// back unchanged (so a caller that parks the submission keeps the only
+  /// copy).  Otherwise `input` is consumed.
+  TrySubmit try_submit(const std::string& id, std::vector<Word>&& input,
                        const SubmitOptions& options,
                        std::function<void(JobResult&&)> done);
 

@@ -1,11 +1,48 @@
-// The command-line argument parser behind obx_cli.
+// The command-line argument parser behind obx_cli, and obx_cli's own
+// answers to --help and to malformed command lines.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
 
 #include "common/cli.hpp"
 
 namespace {
 
 using obx::cli::Args;
+using obx::cli::UsageError;
+
+struct CliRun {
+  int exit_code = -1;
+  std::string out;  ///< stdout
+  std::string err;  ///< stderr
+};
+
+std::string slurp(const std::string& path) {
+  std::string text;
+  if (std::FILE* f = std::fopen(path.c_str(), "r")) {
+    char buf[4096];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) text.append(buf, n);
+    std::fclose(f);
+  }
+  std::remove(path.c_str());
+  return text;
+}
+
+/// Runs obx_cli with `args` (shell words), capturing both streams.
+CliRun obx_cli(const std::string& args) {
+  const std::string base = ::testing::TempDir() + "obx_cli_test_" +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const int status = std::system((std::string(OBX_CLI_PATH) + " " + args + " >" + base +
+                                  ".out 2>" + base + ".err")
+                                     .c_str());
+  CliRun run;
+  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  run.out = slurp(base + ".out");
+  run.err = slurp(base + ".err");
+  return run;
+}
 
 Args parse(std::initializer_list<const char*> argv,
            const std::set<std::string>& flags = {},
@@ -51,6 +88,47 @@ TEST(Cli, Validation) {
   EXPECT_THROW(parse({"--x", "1y"}).get_double("x", 0), std::logic_error);
   EXPECT_THROW(parse({"--bogus", "1"}, {}, {"n"}), std::logic_error);   // unknown
   EXPECT_NO_THROW(parse({"--n", "1"}, {}, {"n"}));
+  // Every malformed command line is a UsageError, never an internal check.
+  EXPECT_THROW(parse({"--n"}), UsageError);
+  EXPECT_THROW(parse({"--bogus", "1"}, {}, {"n"}), UsageError);
+  EXPECT_THROW(parse({"--overlap=yes"}, {"overlap"}), UsageError);
+  EXPECT_THROW(parse({"--n", "abc"}).get_int("n", 0), UsageError);
+  EXPECT_THROW(parse({"--x", "1e999"}).get_double("x", 0), UsageError);
+  EXPECT_THROW(parse({"--x", ""}).get_double("x", 0), UsageError);
+}
+
+TEST(ObxCli, HelpPrintsEveryCommandAndExitsZero) {
+  const CliRun run = obx_cli("--help");
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_NE(run.out.find("usage: obx_cli <command>"), std::string::npos) << run.out;
+  for (const char* command : {"list", "run", "plan", "serve", "bench-net", "fuzz"}) {
+    EXPECT_NE(run.out.find(std::string("\n  ") + command + " "), std::string::npos) << command;
+  }
+}
+
+TEST(ObxCli, CommandHelpPrintsThatCommandsUsageAndExitsZero) {
+  const CliRun run = obx_cli("plan --help");
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_EQ(run.out.rfind("usage: obx_cli plan <algorithm>", 0), 0u) << run.out;
+  EXPECT_NE(run.out.find("--tune-trials"), std::string::npos);
+  EXPECT_EQ(run.out.find("bench-net"), std::string::npos) << "printed every command";
+}
+
+TEST(ObxCli, UnknownOptionPrintsUsageAndFailsWithoutACheckTrace) {
+  const CliRun run = obx_cli("plan tea --algo tea");
+  EXPECT_NE(run.exit_code, 0);
+  EXPECT_NE(run.err.find("unknown option --algo"), std::string::npos) << run.err;
+  EXPECT_NE(run.err.find("usage: obx_cli plan"), std::string::npos) << run.err;
+  EXPECT_EQ(run.err.find("OBX_CHECK"), std::string::npos) << run.err;
+  EXPECT_EQ(run.err.find("logic_error"), std::string::npos) << run.err;
+}
+
+TEST(ObxCli, UnknownAlgorithmIsAUsageErrorToo) {
+  const CliRun run = obx_cli("run no-such-algorithm");
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_NE(run.err.find("unknown algorithm 'no-such-algorithm'"), std::string::npos) << run.err;
+  EXPECT_NE(run.err.find("usage: obx_cli run"), std::string::npos) << run.err;
+  EXPECT_EQ(run.err.find("OBX_CHECK"), std::string::npos) << run.err;
 }
 
 TEST(Cli, NegativeNumbers) {

@@ -312,6 +312,33 @@ TEST(CorePoolEquivalence, BitIdenticalAcrossWorkerCountsEverywhere) {
   }
 }
 
+/// Gathers below bulk::kFanOutMinWork words run inline; one at the crossover
+/// still fans out over the pool and matches the serial gather bit for bit.
+TEST(CorePoolEquivalence, GatherAtTheCrossoverFansOutBitIdentically) {
+  const algos::Algorithm& algo = algos::find("prefix-sums");
+  constexpr std::size_t kN = 256;
+  const trace::Program program = algo.make_program(kN);
+  const std::size_t p = bulk::kFanOutMinWork / program.output_words;
+  ASSERT_EQ(std::uint64_t{p} * program.output_words, bulk::kFanOutMinWork);
+  Rng rng(0x6A7Eu);
+  std::vector<Word> inputs;
+  inputs.reserve(p * program.input_words);
+  for (std::size_t j = 0; j < p; ++j) {
+    const auto one = algo.make_input(kN, rng);
+    inputs.insert(inputs.end(), one.begin(), one.end());
+  }
+  const Layout layout = make_layout(program, p, Arrangement::kColumnWise);
+  const HostBulkExecutor serial(layout, HostBulkExecutor::Options{.workers = 1});
+  const HostBulkExecutor pooled(layout, HostBulkExecutor::Options{.workers = 4});
+  const HostRunResult run = serial.run(program, inputs);
+  const std::vector<Word> expected = serial.gather_outputs(program, run.memory);
+
+  CorePool& pool = CorePool::instance();
+  const std::uint64_t before = pool.counters().tasks;
+  EXPECT_EQ(pooled.gather_outputs(program, run.memory), expected);
+  EXPECT_GT(pool.counters().tasks, before) << "a gather at the crossover ran inline";
+}
+
 TEST(CorePoolDefaults, DefaultWorkerCountIsPositiveAndAffinityBounded) {
   const unsigned n = default_worker_count();
   EXPECT_GE(n, 1u);

@@ -373,7 +373,18 @@ TEST(NetLoopback, ParkedSubmitterDisconnectDoesNotLeakConnectionSlot) {
   }
   // Every abusive connection must be reaped once its writes fail or its
   // hangup is observed; a zombie keeps connections_active pinned above 0.
+  // Wait for the loop to take every connection off the listen backlog
+  // first: on a loaded host it may not have accepted any yet, and an empty
+  // table would then pass the check below without testing anything.
   const auto deadline = std::chrono::steady_clock::now() + 5s;
+  const auto taken = [&] {
+    const net::ServerStatsSnapshot s = server.stats();
+    return s.connections_accepted + s.connections_refused;
+  };
+  while (taken() < 6 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_EQ(taken(), 6u) << "the loop never took the abusive connections";
   while (server.stats().connections_active > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(5ms);

@@ -11,6 +11,7 @@
 
 #include "algos/algorithm.hpp"
 #include "bulk/bulk.hpp"
+#include "bulk/core_pool.hpp"
 #include "bulk/host_executor.hpp"
 #include "bulk/layout.hpp"
 #include "bulk/streaming_executor.hpp"
@@ -426,6 +427,33 @@ TEST(PlanEquivalenceTest, PlanConstructedExecutorsMatchPlanRun) {
 
 // ---------------------------------------------------------------------------
 // serve::PrepareOptions compatibility shim.
+
+/// The fan-out crossover (bulk::kFanOutMinWork) both ways: a serving-sized
+/// run stays on its calling thread, a paper-scale run still fans out.
+TEST(PlanFanOutTest, SmallRunsStayInlineAndPaperScaleRunsFanOut) {
+  plan::PlanOptions options;
+  options.workers = 4;  // a fixed target, whatever the host's core count
+  const algos::Algorithm& algo = algos::find("prefix-sums");
+
+  // A 64-lane serving batch of prefix-sums n=256: about 49K lane-steps.
+  const auto small = plan::Planner(options).build(algo.make_program(256));
+  EXPECT_EQ(small->workers(), 4u);
+  EXPECT_EQ(small->workers_for_lanes(64), 1u);
+  const std::vector<Word> small_inputs(64 * small->input_words(), Word{1});
+  const bulk::HostRunResult inline_run = plan::run(*small, small_inputs, 64);
+  EXPECT_EQ(inline_run.sched.tasks, 1u);
+  EXPECT_EQ(inline_run.sched.steals, 0u);
+
+  // The bulk-registry size, prefix-sums n=1024 at p=4096: about 12.6M
+  // lane-steps, far above the crossover.
+  constexpr std::size_t kLanes = 4096;
+  const auto big = plan::Planner(options).build(algo.make_program(1024));
+  EXPECT_EQ(big->workers_for_lanes(kLanes), 4u);
+  EXPECT_GE(std::uint64_t{kLanes} * big->provenance().after.total(), bulk::kFanOutMinWork);
+  const std::vector<Word> big_inputs(kLanes * big->input_words(), Word{1});
+  const bulk::HostRunResult fanned = plan::run(*big, big_inputs, kLanes);
+  EXPECT_GT(fanned.sched.tasks, 1u) << "a paper-scale run must still fan out";
+}
 
 TEST(PrepareOptionsTest, EnSpellingIsCanonicalAndAliasStillWorks) {
   serve::PrepareOptions po;

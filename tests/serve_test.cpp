@@ -4,6 +4,7 @@
 // serve_stress_test.cpp.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -13,6 +14,8 @@
 
 #include "algos/algorithm.hpp"
 #include "bulk/bulk.hpp"
+#include "bulk/core_pool.hpp"
+#include "bulk/streaming_executor.hpp"
 #include "common/rng.hpp"
 #include "serve/admission_queue.hpp"
 #include "serve/batcher.hpp"
@@ -617,6 +620,84 @@ TEST(ProgramCacheTest, TunedPrepareChangesChosenArrangement) {
   EXPECT_EQ(prepared.arrangement(), bulk::Arrangement::kRowWise);
   EXPECT_NE(prepared.arrangement(), cache.get("sort").arrangement());
   EXPECT_EQ(*calls, 16u);
+}
+
+/// A 64-lane serving batch of a small program is below the fan-out
+/// crossover: it runs whole on its executor thread, one task per region and
+/// no pool traffic at all (no tasks, no steals), gather included.
+TEST(BulkService, SmallServingBatchRunsWholeOnItsExecutorThread) {
+  const algos::Algorithm& algo = algos::find("prefix-sums");
+  constexpr std::size_t kN = 256;
+  constexpr std::size_t kLanes = 64;
+  ServiceOptions options;
+  options.batcher.max_batch_lanes = kLanes;
+  options.batcher.max_batch_delay = 10s;  // flush on size only
+  options.executors = 1;
+  BulkService service(options);
+  service.register_program("ps", algo.make_program(kN));
+  const PreparedProgram& prepared = service.programs().get("ps");
+
+  // The executor BulkService::execute builds for such a batch.
+  const bulk::StreamingExecutor exec(prepared.plan(), kLanes);
+  const bulk::StreamingExecutor::Stats stats = exec.run(
+      prepared.program(), kLanes, [](Lane, std::span<Word> dst) { std::fill(dst.begin(), dst.end(), 1); },
+      [](Lane, std::span<const Word>) {});
+  EXPECT_EQ(stats.sched.tasks, 1u);
+  EXPECT_EQ(stats.sched.steals, 0u);
+  EXPECT_EQ(stats.sched.parks, 0u);
+
+  const bulk::CorePool::CountersSnapshot before = bulk::CorePool::instance().counters();
+  Rng rng(64);
+  std::vector<std::vector<Word>> inputs;
+  std::vector<std::future<JobResult>> futures;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    inputs.push_back(algo.make_input(kN, rng));
+    futures.push_back(service.submit("ps", inputs.back()));
+  }
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    const JobResult r = futures[i].get();
+    ASSERT_EQ(r.status, JobStatus::kCompleted);
+    EXPECT_EQ(r.batch_lanes, kLanes);
+    EXPECT_EQ(r.output, algo.reference(kN, inputs[i])) << "job " << i;
+  }
+  service.stop();
+  const bulk::CorePool::CountersSnapshot after = bulk::CorePool::instance().counters();
+  EXPECT_EQ(after.tasks - before.tasks, 0u) << "the batch fanned out to the pool";
+  EXPECT_EQ(after.steals - before.steals, 0u);
+}
+
+/// kWouldBlock hands the input back untouched, so a caller that parks the
+/// submission keeps the only copy (the network server relies on this).
+TEST(BulkService, TrySubmitHandsTheInputBackWhenItWouldBlock) {
+  const algos::Algorithm& algo = algos::find("prefix-sums");
+  constexpr std::size_t kN = 1024;
+  ServiceOptions options;
+  options.queue_capacity = 1;
+  options.policy = OverflowPolicy::kBlock;
+  options.batcher.max_batch_lanes = 1;
+  options.executors = 1;
+  BulkService service(options);
+  service.register_program("ps", algo.make_program(kN));
+  Rng rng(5);
+  const std::vector<Word> original = algo.make_input(kN, rng);
+
+  std::atomic<std::size_t> resolved{0};
+  std::size_t admitted = 0;
+  bool blocked = false;
+  for (int attempt = 0; attempt < 200000 && !blocked; ++attempt) {
+    std::vector<Word> input = original;
+    const BulkService::TrySubmit outcome = service.try_submit(
+        "ps", std::move(input), SubmitOptions{}, [&](JobResult&&) { ++resolved; });
+    if (outcome == BulkService::TrySubmit::kWouldBlock) {
+      blocked = true;
+      EXPECT_EQ(input, original) << "kWouldBlock must leave the input with the caller";
+    } else {
+      ++admitted;
+    }
+  }
+  ASSERT_TRUE(blocked) << "never caught the queue full";
+  service.stop();
+  EXPECT_EQ(resolved.load(), admitted);
 }
 
 }  // namespace

@@ -1,50 +1,14 @@
 // obx_cli — run, time, inspect and optimise the oblivious algorithm library
 // from the command line.
 //
-//   obx_cli list     [--names]
-//   obx_cli run      <algorithm> --n 64 --p 256 [--arrangement row|col|blocked|cf]
-//                    [--arrangement-param B] [--workers K] [--seed S]
-//   obx_cli plan     <algorithm> [--n N] [--p P] [--width 32] [--latency 200]
-//                    [--group G] [--overlap] [--count-compute]
-//                    [--banks 32] [--bank-words W] [--shared-latency L]
-//                    [--arrangement row|col|blocked|cf] [--arrangement-param B]
-//                    [--tune] [--tune-trials T] [--tune-lanes P]
-//                    [--no-optimise] [--no-compile]
-//                    (print the cached ExecutionPlan: decisions + provenance;
-//                    --banks enables the shared/DMM tier, --tune refines the
-//                    arrangement search with real micro-measurements)
-//   obx_cli time     <algorithm> --n 64 --p 4096 [--width 32] [--latency 200]
-//                    [--group G] [--overlap] [--model umm|dmm]
-//                    [--banks 32] [--bank-words W] [--shared-latency L]
-//                    (simulated units for all four arrangements)
-//   obx_cli check    <algorithm> --n 64
-//   obx_cli optimize <algorithm> --n 64
-//   obx_cli hmm      <algorithm> --n 64 --p 4096 [--sms 14]
-//   obx_cli dump     <algorithm> --n 8 [--optimize]   (.obx text to stdout)
-//   obx_cli analyze  <algorithm> --n 64 --p 65536     (workload advice)
-//   obx_cli serve-bench [--algos a,b] [--n 1024] [--jobs 30000] [--rate 40000]
-//                    [--producers 8] [--batch-lanes 512] [--batch-delays-us 0,1000,5000]
-//                    [--executors 1] [--policy block|reject|shed] [--queue-cap 2048]
-//                    [--deadline-us D] [--snapshot]   (batching service load test;
-//                    rate 0 = closed-loop)
-//   obx_cli serve    --listen HOST:PORT [--algos a,b] [--n N | --sizes N1,N2]
-//                    [--queue-cap C] [--policy block|reject|shed] [--executors E]
-//                    [--batch-lanes L] [--batch-delay-us D]
-//                    [--quota-rate R] [--quota-burst B] [--duration-s S]
-//                    (network front end over the batching service; runs for
-//                    --duration-s, or until stdin closes.  --sizes registers
-//                    variable-length sessions, one "algo/n=N" id per size)
-//   obx_cli bench-net [--algos a,b] [--n N | --sizes N1,N2] [--jobs J]
-//                    [--rate R] [--bursty] [--tenants T] [--connections C]
-//                    [--pipeline D] [--seed S] [--scrape]
-//                    (loopback socket throughput vs the in-process service;
-//                    nonzero exit on any exactly-once violation)
-//   obx_cli fuzz     [--seed S] [--iters N] [--max-steps M] [--no-shrink]
-//                    [--no-faults] [--no-net] | [--replay FILE]
-//                    (differential fuzz of the backend/arrangement/SIMD matrix
-//                    against the interpreter, plus serve fault-injection
-//                    campaigns, protocol frame fuzz and a network fault
-//                    campaign; --replay re-checks a saved reproducer)
+//   obx_cli <command> [<algorithm>] [options]
+//   obx_cli --help             lists every command with its options
+//   obx_cli <command> --help   prints one command's options
+//
+// The per-command synopses live in kCommands below, next to the handlers
+// they describe.  A malformed command line (unknown option, missing or
+// non-numeric value) prints the usage text and exits 2; a failure while
+// running exits 1.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -82,18 +46,15 @@ namespace {
 
 using namespace obx;
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: obx_cli <list|run|plan|time|check|optimize|hmm|analyze|dump|"
-               "serve-bench|serve|bench-net|fuzz> [<algorithm>] [--n N] [--p P] "
-               "[options]\n"
-               "run 'obx_cli list' to see the algorithm library.\n");
-  return 2;
-}
-
 const algos::Algorithm& algo_from(const cli::Args& args) {
-  OBX_CHECK(args.positional().size() >= 2, "missing <algorithm>; try 'obx_cli list'");
-  return algos::find(args.positional()[1]);
+  if (args.positional().size() < 2) {
+    throw cli::UsageError("missing <algorithm>; try 'obx_cli list'");
+  }
+  const std::string& name = args.positional()[1];
+  for (const algos::Algorithm& algo : algos::registry()) {
+    if (algo.name == name) return algo;
+  }
+  throw cli::UsageError("unknown algorithm '" + name + "'; try 'obx_cli list'");
 }
 
 bulk::Arrangement arrangement_from(const cli::Args& args) {
@@ -752,13 +713,107 @@ int cmd_dump(const cli::Args& args) {
   return 0;
 }
 
+/// One subcommand: its name, the options it takes (printed by --help) and
+/// its handler.
+struct Command {
+  const char* name;
+  const char* synopsis;
+  int (*run)(const cli::Args&);
+};
+
+const Command kCommands[] = {
+    {"list", "[--names]", cmd_list},
+    {"run",
+     "<algorithm> --n 64 --p 256 [--arrangement row|col|blocked|cf]\n"
+     "    [--arrangement-param B] [--workers K] [--seed S]",
+     cmd_run},
+    {"plan",
+     "<algorithm> [--n N] [--p P] [--width 32] [--latency 200]\n"
+     "    [--group G] [--overlap] [--count-compute]\n"
+     "    [--banks 32] [--bank-words W] [--shared-latency L]\n"
+     "    [--arrangement row|col|blocked|cf] [--arrangement-param B]\n"
+     "    [--tune] [--tune-trials T] [--tune-lanes P]\n"
+     "    [--no-optimise] [--no-compile]\n"
+     "    (print the cached ExecutionPlan: decisions + provenance;\n"
+     "    --banks enables the shared/DMM tier, --tune refines the\n"
+     "    arrangement search with real micro-measurements)",
+     cmd_plan},
+    {"time",
+     "<algorithm> --n 64 --p 4096 [--width 32] [--latency 200]\n"
+     "    [--group G] [--overlap] [--model umm|dmm]\n"
+     "    [--banks 32] [--bank-words W] [--shared-latency L]\n"
+     "    (simulated units for all four arrangements)",
+     cmd_time},
+    {"check", "<algorithm> --n 64", cmd_check},
+    {"optimize", "<algorithm> --n 64", cmd_optimize},
+    {"hmm", "<algorithm> --n 64 --p 4096 [--sms 14]", cmd_hmm},
+    {"analyze", "<algorithm> --n 64 --p 65536   (workload advice)", cmd_analyze},
+    {"dump", "<algorithm> --n 8 [--optimize]   (.obx text to stdout)", cmd_dump},
+    {"serve-bench",
+     "[--algos a,b] [--n 1024] [--jobs 30000] [--rate 40000]\n"
+     "    [--producers 8] [--batch-lanes 512] [--batch-delays-us 0,1000,5000]\n"
+     "    [--executors 1] [--policy block|reject|shed] [--queue-cap 2048]\n"
+     "    [--deadline-us D] [--snapshot]\n"
+     "    (batching service load test; rate 0 = closed-loop)",
+     cmd_serve_bench},
+    {"serve",
+     "--listen HOST:PORT [--algos a,b] [--n N | --sizes N1,N2]\n"
+     "    [--queue-cap C] [--policy block|reject|shed] [--executors E]\n"
+     "    [--batch-lanes L] [--batch-delay-us D]\n"
+     "    [--quota-rate R] [--quota-burst B] [--duration-s S]\n"
+     "    (network front end over the batching service; runs for\n"
+     "    --duration-s, or until stdin closes.  --sizes registers\n"
+     "    variable-length sessions, one \"algo/n=N\" id per size)",
+     cmd_serve},
+    {"bench-net",
+     "[--algos a,b] [--n N | --sizes N1,N2] [--jobs J]\n"
+     "    [--rate R] [--bursty] [--tenants T] [--connections C]\n"
+     "    [--pipeline D] [--seed S] [--scrape]\n"
+     "    (loopback socket throughput vs the in-process service;\n"
+     "    nonzero exit on any exactly-once violation)",
+     cmd_bench_net},
+    {"fuzz",
+     "[--seed S] [--iters N] [--max-steps M] [--no-shrink]\n"
+     "    [--no-faults] [--no-net] | [--replay FILE]\n"
+     "    (differential fuzz of the backend/arrangement/SIMD matrix\n"
+     "    against the interpreter, plus serve fault-injection\n"
+     "    campaigns, protocol frame fuzz and a network fault\n"
+     "    campaign; --replay re-checks a saved reproducer)",
+     cmd_fuzz},
+};
+
+const Command* find_command(const std::string& name) {
+  for (const Command& c : kCommands) {
+    if (name == c.name) return &c;
+  }
+  return nullptr;
+}
+
+/// Usage text: one command's synopsis, or (null) every command's.
+void print_usage(std::FILE* out, const Command* command) {
+  if (command != nullptr) {
+    std::fprintf(out, "usage: obx_cli %s %s\n", command->name, command->synopsis);
+    return;
+  }
+  std::fprintf(out, "usage: obx_cli <command> [<algorithm>] [options]\n\ncommands:\n");
+  for (const Command& c : kCommands) {
+    std::fprintf(out, "  %s %s\n", c.name, c.synopsis);
+  }
+  std::fprintf(out,
+               "\nrun 'obx_cli list' to see the algorithm library, "
+               "'obx_cli <command> --help' for one command.\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A first guess made before parsing, so that a malformed command line can
+  // still print the usage of the command it was meant for.
+  const Command* command = argc > 1 ? find_command(argv[1]) : nullptr;
   try {
     const cli::Args args = cli::Args::parse(
         argc, argv,
-        {"overlap", "count-compute", "optimize", "snapshot", "names",
+        {"help", "overlap", "count-compute", "optimize", "snapshot", "names",
          "no-optimise", "no-compile", "no-shrink", "no-faults", "no-net",
          "bursty", "scrape", "tune"},
         {"n", "p", "width", "latency", "group", "banks", "bank-words",
@@ -769,22 +824,22 @@ int main(int argc, char** argv) {
          "deadline-us", "iters", "max-steps", "replay", "listen", "duration-s",
          "quota-rate", "quota-burst", "tenants", "connections", "pipeline",
          "sizes"});
-    if (args.positional().empty()) return usage();
-    const std::string& cmd = args.positional()[0];
-    if (cmd == "list") return cmd_list(args);
-    if (cmd == "run") return cmd_run(args);
-    if (cmd == "plan") return cmd_plan(args);
-    if (cmd == "time") return cmd_time(args);
-    if (cmd == "check") return cmd_check(args);
-    if (cmd == "optimize") return cmd_optimize(args);
-    if (cmd == "hmm") return cmd_hmm(args);
-    if (cmd == "dump") return cmd_dump(args);
-    if (cmd == "analyze") return cmd_analyze(args);
-    if (cmd == "serve-bench") return cmd_serve_bench(args);
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "bench-net") return cmd_bench_net(args);
-    if (cmd == "fuzz") return cmd_fuzz(args);
-    return usage();
+    const std::string name = args.positional().empty() ? "" : args.positional()[0];
+    command = find_command(name);
+    if (args.get_bool("help")) {
+      print_usage(stdout, command);
+      return 0;
+    }
+    if (command == nullptr) {
+      if (!name.empty()) std::fprintf(stderr, "error: unknown command '%s'\n", name.c_str());
+      print_usage(stderr, nullptr);
+      return 2;
+    }
+    return command->run(args);
+  } catch (const cli::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    print_usage(stderr, command);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
