@@ -20,7 +20,6 @@
 #include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
 #include "bulk/streaming_executor.hpp"
-#include "bulk/thread_pool.hpp"
 #include "bulk/timing_estimator.hpp"
 #include "bulk/umm_executor.hpp"
 #include "common/rng.hpp"
@@ -86,46 +85,12 @@ BENCHMARK(BM_HostExecutor)
 
 void BM_Fig11Backend(benchmark::State& state) {
   // The acceptance workload: Fig. 11 prefix sums at n = 1024, p = 4096 on a
-  // single worker, full run() (scatter + lockstep), interpreted vs compiled
-  // vs jit.  The label reports the backend that actually ran, so on hosts
-  // where emission is unsupported the jit row is visibly the compiled
-  // fallback rather than a silently mislabelled number.
+  // single worker, full run() (scatter + lockstep), interpreted vs compiled.
+  // The label reports the backend that actually ran.
   const std::size_t n = 1024;
   const std::size_t p = 4096;
-  const exec::Backend backend = state.range(0) == 2   ? exec::Backend::kJit
-                                : state.range(0) == 1 ? exec::Backend::kCompiled
-                                                      : exec::Backend::kInterpreted;
-  const trace::Program program = algos::prefix_sums_program(n);
-  const std::vector<Word> inputs = make_inputs(n, p);
-  const bulk::HostBulkExecutor executor(
-      bulk::Layout::column_wise(p, n),
-      bulk::HostBulkExecutor::Options{.workers = 1, .backend = backend});
-  exec::Backend resolved = backend;
-  for (auto _ : state) {
-    auto run = executor.run(program, inputs);
-    resolved = run.backend;
-    benchmark::DoNotOptimize(run.memory.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p * program.profile().total()));
-  state.SetLabel(to_string(resolved));
-}
-BENCHMARK(BM_Fig11Backend)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
-
-void BM_DispatchOverhead(benchmark::State& state) {
-  // Dispatch cost in isolation: prefix sums at n = 64 over a single lane
-  // tile (p = 64), so the whole memory image is L1-resident, each fused op
-  // does a few vectors of work, and the per-op dispatch — the FusedKind
-  // switch plus the opcode switch inside dispatch_op in the compiled
-  // engine, versus the patched direct call in the jit — is a first-order
-  // cost.  n is kept small so the emitted thunk chain (~28 B per fused op)
-  // stays inside L1i; much larger programs turn this into an icache bench
-  // instead.  One worker; arg 0 = compiled, arg 1 = jit.  steps_per_s is
-  // the headline dispatch-rate counter.
-  const std::size_t n = 64;
-  const std::size_t p = 64;
   const exec::Backend backend =
-      state.range(0) != 0 ? exec::Backend::kJit : exec::Backend::kCompiled;
+      state.range(0) == 1 ? exec::Backend::kCompiled : exec::Backend::kInterpreted;
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
   const bulk::HostBulkExecutor executor(
@@ -137,15 +102,11 @@ void BM_DispatchOverhead(benchmark::State& state) {
     resolved = run.backend;
     benchmark::DoNotOptimize(run.memory.data());
   }
-  state.counters["steps_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(program.profile().total()),
-      benchmark::Counter::kIsRate);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p * program.profile().total()));
   state.SetLabel(to_string(resolved));
 }
-BENCHMARK(BM_DispatchOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fig11Backend)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_Fig11BackendScaling(benchmark::State& state) {
   // Thread-per-core scaling on the acceptance workload: Fig. 11 prefix sums

@@ -21,7 +21,7 @@
 
 #include "common/types.hpp"
 #include "bulk/layout.hpp"
-#include "bulk/thread_pool.hpp"
+#include "bulk/core_pool.hpp"
 #include "trace/program.hpp"
 #include "umm/machine_config.hpp"
 

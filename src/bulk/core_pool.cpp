@@ -16,7 +16,6 @@
 #endif
 
 #include "common/check.hpp"
-#include "bulk/thread_pool.hpp"
 
 namespace obx::bulk {
 
@@ -49,26 +48,30 @@ class WsDeque {
     for (Array* a : retired_) delete a;
   }
 
-  /// Owner only.
+  /// Owner only.  Every owner store to bottom_ is a release store rather than
+  /// Lê et al.'s release fence plus relaxed store: a thief's acquire load of
+  /// bottom_ then synchronizes with whichever owner store it reads, which
+  /// publishes the task contents written before the push.  ThreadSanitizer
+  /// does not model atomic_thread_fence, so the fence form reads to it as a
+  /// race on the stolen task.
   void push(TileTask* task) {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed);
     const std::int64_t t = top_.load(std::memory_order_acquire);
     Array* a = array_.load(std::memory_order_relaxed);
     if (b - t >= static_cast<std::int64_t>(a->capacity)) a = grow(a, t, b);
     a->put(b, task);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   /// Owner only; nullptr when empty (or lost the last-element race).
   TileTask* pop() {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
     Array* a = array_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_relaxed);
+    bottom_.store(b, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     std::int64_t t = top_.load(std::memory_order_relaxed);
     if (t > b) {
-      bottom_.store(b + 1, std::memory_order_relaxed);
+      bottom_.store(b + 1, std::memory_order_release);
       return nullptr;
     }
     TileTask* task = a->get(b);
@@ -78,7 +81,7 @@ class WsDeque {
                                         std::memory_order_relaxed)) {
         task = nullptr;
       }
-      bottom_.store(b + 1, std::memory_order_relaxed);
+      bottom_.store(b + 1, std::memory_order_release);
     }
     return task;
   }

@@ -133,6 +133,12 @@ class CorePool {
 /// move (HostBulkExecutor::gather_outputs).
 inline constexpr std::uint64_t kFanOutMinWork = std::uint64_t{1} << 20;
 
+/// Worker count the pool (and `workers = 0` knobs) default to: the CPUs in
+/// this process's affinity mask (cgroup/taskset aware; falls back to
+/// hardware_concurrency), overridable with OBX_WORKERS.  Latched once per
+/// process; always >= 1.
+unsigned default_worker_count();
+
 /// Tile grain for coarse interpreted chunks: ~4 tiles per worker (enough
 /// slack for stealing to fix imbalance, few enough that per-chunk costs —
 /// e.g. one program-stream drain per chunk — stay amortised), in lanes,

@@ -5,9 +5,7 @@
 
 #include "common/check.hpp"
 #include "bulk/core_pool.hpp"
-#include "bulk/thread_pool.hpp"
 #include "exec/compiled_program.hpp"
-#include "exec/jit/jit_program.hpp"
 #include "trace/step.hpp"
 
 namespace obx::bulk {
@@ -144,16 +142,7 @@ HostRunResult HostBulkExecutor::run(const trace::Program& program,
 
   if (compiled != nullptr) {
     const SimdIsa isa = options_.simd.value_or(active_simd_isa());
-    // kAuto and kJit prefer emitted zero-dispatch code; any emission failure
-    // (platform, OBX_JIT=0, arena refusal) degrades to the compiled switch
-    // backend.  kCompiled never emits, so the switch engine stays directly
-    // reachable for benchmarks and differential tests.
-    std::shared_ptr<const exec::JitProgram> jitted;
-    if (options_.backend != exec::Backend::kCompiled) {
-      jitted = exec::JitProgram::get_or_emit(program, compiled, isa);
-    }
-    result.backend =
-        jitted != nullptr ? exec::Backend::kJit : exec::Backend::kCompiled;
+    result.backend = exec::Backend::kCompiled;
     result.counts = compiled->counts();
     result.simd = isa;
     const std::size_t tile =
@@ -168,13 +157,8 @@ HostRunResult HostBulkExecutor::run(const trace::Program& program,
     result.sched += pool.parallel_for(
         p, align == 1 ? 1 : tile, tile, workers,
         [&](std::size_t begin, std::size_t end) {
-          if (jitted != nullptr) {
-            exec::run_jit_chunk(*jitted, layout_, inputs, program.input_words,
-                                result.memory, begin, end, tile);
-          } else {
-            exec::run_compiled_chunk(*compiled, layout_, inputs, program.input_words,
-                                     result.memory, begin, end, tile, isa);
-          }
+          exec::run_compiled_chunk(*compiled, layout_, inputs, program.input_words,
+                                   result.memory, begin, end, tile, isa);
         });
     const auto t1 = std::chrono::steady_clock::now();
     result.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -222,7 +206,7 @@ void HostBulkExecutor::gather_outputs(const trace::Program& program,
   // A gather moving fewer words than the fan-out crossover (a serving
   // batch's outputs, typically) is cheaper as one copy on this thread.
   const unsigned workers = std::uint64_t{p} * ow < kFanOutMinWork ? 1u : options_.workers;
-  parallel_for_chunks(p, workers, 1, [&](std::size_t begin, std::size_t end) {
+  const auto gather = [&](std::size_t begin, std::size_t end) {
     if (layout_.arrangement() == Arrangement::kColumnWise) {
       // Two-level tiled transpose (mirror of the compiled backend's tile
       // scatter): lane sub-blocks keep the destination pages TLB-resident,
@@ -254,7 +238,8 @@ void HostBulkExecutor::gather_outputs(const trace::Program& program,
                        std::span<Word>(out).subspan(j * ow, ow));
       }
     }
-  });
+  };
+  CorePool::instance().parallel_for(p, 1, chunk_grain(p, 1, workers), workers, gather);
 }
 
 }  // namespace obx::bulk

@@ -36,9 +36,9 @@ struct HostRunResult {
   /// before the clock starts; the compiled backend scatters tile-by-tile
   /// inside it, so its seconds include scatter.
   double seconds = 0.0;
-  /// Engine that actually ran: kJit when emitted zero-dispatch code executed,
-  /// kCompiled when the switch backend did (requested, or JIT emission
-  /// unavailable), kInterpreted when the program exceeded the compile budget.
+  /// Engine that actually ran: kCompiled when the fused lane-tiled backend
+  /// did, kInterpreted when the program exceeded the compile budget (or the
+  /// interpreter was requested).
   exec::Backend backend = exec::Backend::kInterpreted;
   /// SIMD tier the lockstep loop ran at (Options::simd if set — compiled
   /// backend only — else the process-wide active_simd_isa()).
@@ -62,11 +62,9 @@ class HostBulkExecutor {
     /// this many threads of the shared bulk::CorePool (the caller counts as
     /// one).  1 = run inline on the caller; 0 = auto (default_worker_count).
     unsigned workers = 1;
-    /// Lockstep engine.  kAuto / kJit / kCompiled compile the step stream
-    /// once per (program, process) and run fused lane-tiled kernels — kAuto
-    /// and kJit additionally emit per-segment native code (copy-and-patch,
-    /// zero dispatch) when the platform and OBX_JIT allow it.  Every rung
-    /// falls back down the ladder: jit -> compiled switch -> interpreter.
+    /// Lockstep engine.  kAuto / kCompiled compile the step stream once per
+    /// (program, process) and run fused lane-tiled kernels, falling back to
+    /// the interpreter when the program exceeds compile_budget_steps.
     exec::Backend backend = exec::Backend::kAuto;
     std::size_t tile_lanes = 0;  ///< compiled lane-tile size; 0 = auto (fit L1)
     std::size_t compile_budget_steps = exec::kDefaultCompileBudget;

@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
-#include "exec/jit/jit_program.hpp"
 #include "plan/planner.hpp"
 #include "trace/interpreter.hpp"
 
@@ -127,20 +126,6 @@ std::vector<ExecConfig> config_matrix(std::size_t p, std::size_t program_steps) 
         c.tile_lanes = tile;
         configs.push_back(c);
       }
-      // The copy-and-patch JIT leg: every arrangement × tier, auto and
-      // ragged tiles, against the same oracle.  Where emission is available
-      // the run must actually be the JIT (expect_backend pins it); elsewhere
-      // the config still runs, via the compiled-switch fallback.
-      for (const std::size_t tile : {std::size_t{0}, std::size_t{3}}) {
-        ExecConfig j;
-        j.backend = exec::Backend::kJit;
-        j.arrangement = arr.arrangement;
-        j.block = arr.block;
-        j.simd = isa;
-        j.tile_lanes = tile;
-        if (exec::jit_available()) j.expect_backend = exec::Backend::kJit;
-        configs.push_back(j);
-      }
     }
   }
 
@@ -170,10 +155,6 @@ std::vector<ExecConfig> config_matrix(std::size_t p, std::size_t program_steps) 
     steal.workers = 8;
     steal.tile_lanes = 1;
     configs.push_back(steal);
-    ExecConfig jsteal = steal;
-    jsteal.backend = exec::Backend::kJit;
-    if (exec::jit_available()) jsteal.expect_backend = exec::Backend::kJit;
-    configs.push_back(jsteal);
     ExecConfig isteal;
     isteal.backend = exec::Backend::kInterpreted;
     isteal.workers = 8;
@@ -210,18 +191,6 @@ std::vector<ExecConfig> config_matrix(std::size_t p, std::size_t program_steps) 
     exact.compile_budget_steps = program_steps;
     exact.expect_backend = exec::Backend::kCompiled;
     configs.push_back(exact);
-
-    // Same straddle through the JIT rung: one step under budget must fall
-    // all the way down to the interpreter; exactly at budget must compile
-    // AND emit (where emission is available).
-    ExecConfig junder = under;
-    junder.backend = exec::Backend::kJit;
-    configs.push_back(junder);
-    ExecConfig jexact = exact;
-    jexact.backend = exec::Backend::kJit;
-    jexact.expect_backend =
-        exec::jit_available() ? exec::Backend::kJit : exec::Backend::kCompiled;
-    configs.push_back(jexact);
   }
   return configs;
 }

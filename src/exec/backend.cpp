@@ -16,7 +16,7 @@ using bulk::Arrangement;
 /// Scatters this tile's inputs into arranged memory.  Column-wise/blocked is
 /// a cache-blocked transpose (sub-tiles of lanes keep the source lines
 /// L1-resident); row-wise input rows are contiguous copies.
-void scatter_tile(const Tile& t, std::span<const Word> inputs, std::size_t iw) {
+static void scatter_tile(const Tile& t, std::span<const Word> inputs, std::size_t iw) {
   if (iw == 0) return;
   const Word* src_base = inputs.data();
   switch (t.arr) {
@@ -133,7 +133,6 @@ std::string to_string(Backend backend) {
     case Backend::kAuto: return "auto";
     case Backend::kInterpreted: return "interpreted";
     case Backend::kCompiled: return "compiled";
-    case Backend::kJit: return "jit";
   }
   return "?";
 }

@@ -22,16 +22,11 @@
 
 namespace obx::exec {
 
-/// Which lockstep engine HostBulkExecutor uses.  kAuto prefers the
-/// copy-and-patch JIT (zero per-superinstruction dispatch; see
-/// exec/jit/jit_program.hpp), degrading to the compiled switch backend when
-/// emission is unavailable (non-x86-64/non-Linux, OBX_JIT=0, arena failure)
-/// and to the interpreter when the program exceeds the compile budget.
-/// kJit and kCompiled ride the same ladder from their own rung — both fall
-/// back (with the fallback recorded in the run result) rather than failing.
-/// kJit is last so the numeric values of the pre-JIT backends — which plan
-/// fingerprints fold in — are unchanged.
-enum class Backend : std::uint8_t { kAuto, kInterpreted, kCompiled, kJit };
+/// Which lockstep engine HostBulkExecutor uses.  kAuto and kCompiled run the
+/// compiled backend, degrading to the interpreter when the program exceeds
+/// the compile budget (the fallback is recorded in the run result rather
+/// than failing).  The numeric values are folded into plan fingerprints.
+enum class Backend : std::uint8_t { kAuto, kInterpreted, kCompiled };
 
 std::string to_string(Backend backend);
 

@@ -11,12 +11,3 @@ void exec_segment_avx2(const Tile& t, const CompiledProgram::Segment& seg) {
 }
 
 }  // namespace obx::exec::detail
-
-namespace obx::exec::jit {
-
-const KernelTable* kernel_table_avx2() {
-  static const KernelTable table = detail::kernels::make_kernel_table<4>();
-  return &table;
-}
-
-}  // namespace obx::exec::jit

@@ -12,12 +12,3 @@ void exec_segment_avx512(const Tile& t, const CompiledProgram::Segment& seg) {
 }
 
 }  // namespace obx::exec::detail
-
-namespace obx::exec::jit {
-
-const KernelTable* kernel_table_avx512() {
-  static const KernelTable table = detail::kernels::make_kernel_table<8>();
-  return &table;
-}
-
-}  // namespace obx::exec::jit

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "bulk/layout.hpp"
 #include "common/types.hpp"
@@ -75,11 +74,6 @@ OBX_ALWAYS_INLINE std::size_t lane_word_stride(const Tile& t) {
       return 1;
   }
 }
-
-/// Scatters this tile's inputs into arranged memory (cache-blocked transpose
-/// for column-family layouts; contiguous row copies for row-wise).  Defined
-/// in backend.cpp; shared by run_compiled_chunk and the JIT's run_jit_chunk.
-void scatter_tile(const Tile& t, std::span<const Word> inputs, std::size_t input_words);
 
 // Per-ISA segment bodies.  Each is defined in exactly one translation unit,
 // compiled with that ISA's target flags, and instantiates exactly one vector

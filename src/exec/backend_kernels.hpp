@@ -16,10 +16,8 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 
 #include "exec/backend_detail.hpp"
-#include "exec/jit/kernel_table.hpp"
 #include "exec/simd.hpp"
 #include "opt/fusion.hpp"
 #include "trace/alu_ops.hpp"
@@ -50,8 +48,7 @@ static OBX_ALWAYS_INLINE void vstore(const MemRef& m, std::size_t j, Vec<V> x) {
 }
 
 /// Lockstep ALU over register columns with the opcode already resolved: the
-/// shared inner loop of kAlu and the ALU steps of kRegRun, and the body the
-/// JIT's op-specialized entries bind directly (no dispatch_op at run time).
+/// shared inner loop of kAlu and the ALU steps of kRegRun.
 template <Op OP, std::size_t W>
 static OBX_ALWAYS_INLINE void alu_sweep_op(Word* d, const Word* a, const Word* b,
                                            const Word* c, std::size_t len) {
@@ -439,79 +436,6 @@ static void exec_segment_w(const Tile& t, const CompiledProgram::Segment& seg) {
       case FusedKind::kTripleRun: k_triple_run<W>(t, f, runs + f.run_begin); break;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// JIT entry points: every kernel above re-exported under the one uniform
-// signature emitted code calls (jit::KernelFn), with the opcode already bound
-// as a template argument — so a patched call site carries no dispatch at all,
-// neither the segment switch nor dispatch_op's opcode switch.  Unused
-// parameters (the run-step pointer for non-run kernels) are simply ignored;
-// the emitter always materialises all three arguments.
-
-template <std::size_t W>
-static void j_load(const Tile* t, const FusedOp* f, const Step*) {
-  k_load<W>(*t, *f);
-}
-template <std::size_t W>
-static void j_store(const Tile* t, const FusedOp* f, const Step*) {
-  k_store<W>(*t, *f);
-}
-template <std::size_t W>
-static void j_imm(const Tile* t, const FusedOp* f, const Step*) {
-  k_imm<W>(*t, *f);
-}
-template <std::size_t W>
-static void j_reg_run(const Tile* t, const FusedOp* f, const Step* body) {
-  k_reg_run<W>(*t, *f, body);
-}
-template <std::size_t W, Op OP>
-static void j_alu(const Tile* t, const FusedOp* f, const Step*) {
-  k_alu_op<OP, W>(*t, *f);
-}
-template <std::size_t W, Op OP>
-static void j_imm_alu(const Tile* t, const FusedOp* f, const Step*) {
-  k_imm_alu_op<OP, W>(*t, *f);
-}
-template <std::size_t W, Op OP>
-static void j_load_alu(const Tile* t, const FusedOp* f, const Step*) {
-  k_load_alu_op<OP, W>(*t, *f);
-}
-template <std::size_t W, Op OP>
-static void j_alu_store(const Tile* t, const FusedOp* f, const Step*) {
-  k_alu_store_op<OP, W>(*t, *f);
-}
-template <std::size_t W, Op OP>
-static void j_load_alu_store(const Tile* t, const FusedOp* f, const Step*) {
-  k_load_alu_store_op<OP, W>(*t, *f);
-}
-template <std::size_t W, Op OP>
-static void j_triple_run(const Tile* t, const FusedOp* f, const Step* body) {
-  k_triple_run_op<OP, W>(*t, *f, body);
-}
-
-/// Builds this TU's kernel table: one opcode-specialized entry per (fused
-/// kind, op) at this TU's width and target flags.  `static`, like everything
-/// here, so no other TU's table can alias these symbols.
-template <std::size_t W, std::size_t... I>
-static jit::KernelTable make_kernel_table(std::index_sequence<I...>) {
-  jit::KernelTable tb;
-  tb.load = &j_load<W>;
-  tb.store = &j_store<W>;
-  tb.imm = &j_imm<W>;
-  tb.reg_run = &j_reg_run<W>;
-  ((tb.alu[I] = &j_alu<W, static_cast<Op>(I)>), ...);
-  ((tb.imm_alu[I] = &j_imm_alu<W, static_cast<Op>(I)>), ...);
-  ((tb.load_alu[I] = &j_load_alu<W, static_cast<Op>(I)>), ...);
-  ((tb.alu_store[I] = &j_alu_store<W, static_cast<Op>(I)>), ...);
-  ((tb.load_alu_store[I] = &j_load_alu_store<W, static_cast<Op>(I)>), ...);
-  ((tb.triple_run[I] = &j_triple_run<W, static_cast<Op>(I)>), ...);
-  return tb;
-}
-
-template <std::size_t W>
-static jit::KernelTable make_kernel_table() {
-  return make_kernel_table<W>(std::make_index_sequence<jit::kOpCount>{});
 }
 
 }  // namespace kernels

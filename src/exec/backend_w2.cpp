@@ -12,12 +12,3 @@ void exec_segment_w2(const Tile& t, const CompiledProgram::Segment& seg) {
 }
 
 }  // namespace obx::exec::detail
-
-namespace obx::exec::jit {
-
-const KernelTable* kernel_table_w2() {
-  static const KernelTable table = detail::kernels::make_kernel_table<2>();
-  return &table;
-}
-
-}  // namespace obx::exec::jit

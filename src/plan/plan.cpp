@@ -6,9 +6,7 @@
 
 #include "common/check.hpp"
 #include "bulk/bulk.hpp"
-#include "bulk/thread_pool.hpp"
 #include "bulk/timing_estimator.hpp"
-#include "exec/jit/jit_program.hpp"
 
 namespace obx::plan {
 
@@ -187,24 +185,6 @@ std::string ExecutionPlan::describe() const {
   }
   os << "\n";
 
-  os << "  jit         : ";
-  if (pv.jitted) {
-    os << "emitted (code=" << pv.jit_code_bytes << "B patches=" << pv.jit_patches
-       << ")";
-  } else if (options_.backend == exec::Backend::kInterpreted) {
-    os << "skipped (interpreted backend)";
-  } else if (options_.backend == exec::Backend::kCompiled) {
-    os << "skipped (compiled backend)";
-  } else if (!pv.compiled) {
-    os << "skipped (no compiled artifact)";
-  } else if (!exec::jit_enabled()) {
-    os << "skipped (disabled)";
-  } else if (!exec::jit_platform_supported()) {
-    os << "skipped (unsupported host)";
-  } else {
-    os << "fallback (emission failed)";
-  }
-  os << "\n";
   os << "  backend     : " << exec::to_string(backend_) << "\n";
   os << "  simd        : " << to_string(pv.simd) << " (w=" << pv.simd_width << ")\n";
 

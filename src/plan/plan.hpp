@@ -55,10 +55,6 @@
 #include "trace/program.hpp"
 #include "umm/machine_config.hpp"
 
-namespace obx::exec {
-class JitProgram;
-}
-
 namespace obx::plan {
 
 /// Every input-independent knob of the optimise → compile → arrange → tile
@@ -169,16 +165,6 @@ struct PlanProvenance {
   std::size_t compiled_segments = 0;
   std::size_t compiled_fused_ops = 0;
 
-  /// Copy-and-patch JIT emission (see exec/jit/jit_program.hpp).  Attempted
-  /// when a compiled artifact exists and the requested backend allows it
-  /// (kAuto / kJit); `jitted` false with `jit_attempted` true means emission
-  /// was unavailable (non-x86-64/non-Linux host, OBX_JIT=0, or an arena
-  /// failure) and the plan fell back to the compiled switch backend.
-  bool jit_attempted = false;
-  bool jitted = false;
-  std::size_t jit_code_bytes = 0;  ///< emitted native code size
-  std::size_t jit_patches = 0;     ///< imm64 patch points applied
-
   bool arrangement_forced = false;
   /// The searched candidates, in search order (column, row, blocked,
   /// conflict-free), exactly one marked chosen.  A forced arrangement
@@ -244,20 +230,14 @@ class ExecutionPlan {
   /// stride (kConflictFree); 0 for row-/column-wise.
   std::size_t arrangement_param() const { return arrangement_param_; }
 
-  /// Resolved engine: kJit when per-segment native code was emitted,
-  /// kCompiled when only the switch artifact exists, otherwise kInterpreted.
-  /// Never kAuto — the plan already decided.
+  /// Resolved engine: kCompiled when a compiled artifact exists, otherwise
+  /// kInterpreted.  Never kAuto — the plan already decided.
   exec::Backend backend() const { return backend_; }
 
-  /// Non-null iff backend() is kCompiled or kJit.
+  /// Non-null iff backend() is kCompiled.
   const std::shared_ptr<const exec::CompiledProgram>& compiled() const {
     return compiled_;
   }
-
-  /// Non-null iff backend() == kJit: the emitted copy-and-patch code (also
-  /// memoised through the program's exec_cache slot, so executors pick it up
-  /// without re-emitting).
-  const std::shared_ptr<const exec::JitProgram>& jitted() const { return jitted_; }
 
   /// Lane-tile knob (0 = auto); the concrete tile still depends on the
   /// occupancy of each run (see provenance().resolved_tile_lanes for the
@@ -321,7 +301,6 @@ class ExecutionPlan {
   exec::Backend backend_ = exec::Backend::kInterpreted;
   unsigned workers_ = 1;
   std::shared_ptr<const exec::CompiledProgram> compiled_;
-  std::shared_ptr<const exec::JitProgram> jitted_;
   std::uint64_t fingerprint_ = 0;
 
   mutable std::mutex units_mutex_;

@@ -9,9 +9,7 @@
 #include "common/check.hpp"
 #include "bulk/bulk.hpp"
 #include "bulk/core_pool.hpp"
-#include "bulk/thread_pool.hpp"
 #include "bulk/timing_estimator.hpp"
-#include "exec/jit/jit_program.hpp"
 #include "umm/dmm.hpp"
 
 namespace obx::plan {
@@ -75,9 +73,6 @@ std::uint64_t plan_fingerprint(const ExecutionPlan& plan) {
   mix(pv.compiled ? 1 : 0);
   mix(pv.compiled_segments);
   mix(pv.compiled_fused_ops);
-  mix(pv.jitted ? 1 : 0);
-  mix(pv.jit_code_bytes);
-  mix(pv.jit_patches);
   mix(static_cast<std::uint64_t>(plan.arrangement()));
   mix(static_cast<std::uint64_t>(plan.backend()));
   mix(static_cast<std::uint64_t>(pv.simd));
@@ -137,35 +132,23 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
   }
 
   // 2. Compile — once per (program, process) through the shared exec_cache
-  //    slot; an over-budget stream is a recorded interpreter fallback.
+  //    slot; an over-budget stream is a recorded interpreter fallback.  The
+  //    step profile already says whether the stream fits, so an over-budget
+  //    one is never drained and fused just to be thrown away.
   if (options_.compile && options_.backend != exec::Backend::kInterpreted) {
     pv.compile_attempted = true;
-    plan->compiled_ = exec::CompiledProgram::get_or_compile(
-        plan->program_, {.max_steps = options_.compile_budget_steps});
+    if (pv.after.total() <= options_.compile_budget_steps) {
+      plan->compiled_ = exec::CompiledProgram::get_or_compile(
+          plan->program_, {.max_steps = options_.compile_budget_steps});
+    }
     if (plan->compiled_ != nullptr) {
       pv.compiled = true;
       pv.compiled_segments = plan->compiled_->segments().size();
       pv.compiled_fused_ops = plan->compiled_->fused_ops();
     }
   }
-
-  // 2b. Emit — copy-and-patch per-segment native code over the compiled
-  //     artifact, memoised in the same exec_cache slot.  kCompiled keeps the
-  //     switch engine directly requestable; any emission failure is a
-  //     recorded fallback to it.
-  if (plan->compiled_ != nullptr && options_.backend != exec::Backend::kCompiled) {
-    pv.jit_attempted = true;
-    plan->jitted_ = exec::JitProgram::get_or_emit(plan->program_, plan->compiled_,
-                                                  active_simd_isa());
-    if (plan->jitted_ != nullptr) {
-      pv.jitted = true;
-      pv.jit_code_bytes = plan->jitted_->code_bytes();
-      pv.jit_patches = plan->jitted_->patch_count();
-    }
-  }
-  plan->backend_ = plan->jitted_ != nullptr     ? exec::Backend::kJit
-                   : plan->compiled_ != nullptr ? exec::Backend::kCompiled
-                                                : exec::Backend::kInterpreted;
+  plan->backend_ =
+      plan->compiled_ != nullptr ? exec::Backend::kCompiled : exec::Backend::kInterpreted;
 
   // 3. Arrange — forced, or a search over {column, row, blocked,
   //    conflict-free}: simulated DMM+UMM units at the reference occupancy

@@ -44,16 +44,6 @@ struct ExecCacheSlot {
   /// Largest compile budget (in steps) a failed compile was attempted with;
   /// lets callers skip re-draining streams known to exceed their budget.
   std::size_t attempted_budget = 0;
-
-  /// Per-SIMD-tier memo for native code emitted from the compiled artifact
-  /// (exec::JitProgram, type-erased like `artifact`), indexed by the numeric
-  /// SimdIsa value and sized generously so trace/ needs no dependency on the
-  /// ISA enum.  jit_attempted marks tiers whose emission already ran — a
-  /// failed emission (null artifact) is remembered and never retried, so a
-  /// fallback run does not re-pay the attempt.  Guarded by `mutex`.
-  static constexpr std::size_t kJitTiers = 8;
-  std::shared_ptr<const void> jit_artifact[kJitTiers];
-  bool jit_attempted[kJitTiers] = {};
 };
 
 struct Program {

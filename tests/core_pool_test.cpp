@@ -1,8 +1,8 @@
 // Stress suite for the thread-per-core work-stealing scheduler
 // (bulk::CorePool): concurrent submitters, steal-heavy skewed tile costs,
 // nested submission from inside a task, clean shutdown with tasks queued,
-// exception semantics through both the pool and the parallel_for_chunks
-// shim, and bit-identical executor output across worker counts for the
+// exception semantics through private pools and the shared instance, and
+// bit-identical executor output across worker counts for the
 // whole algorithm registry × arrangements × SIMD tiers.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "bulk/bulk.hpp"
 #include "bulk/core_pool.hpp"
 #include "bulk/host_executor.hpp"
-#include "bulk/thread_pool.hpp"
 #include "common/rng.hpp"
 #include "common/simd_isa.hpp"
 #include "exec/backend.hpp"
@@ -177,19 +176,34 @@ TEST(CorePool, FirstErrorRethrownAndRemainingTilesSkipped) {
   EXPECT_LE(executed.load(), 256);
 }
 
-TEST(CorePool, ShimPropagatesWorkerExceptionsAcrossManyChunks) {
-  // Regression for the thread_pool -> CorePool migration: the shim must
-  // keep first-error-rethrown-on-caller semantics for multi-chunk regions.
+TEST(CorePool, SharedInstancePropagatesWorkerExceptionsAcrossManyChunks) {
+  // The process-wide pool keeps first-error-rethrown-on-caller semantics for
+  // multi-chunk regions (the coarse chunking gather_outputs submits).
   std::atomic<int> executed{0};
-  EXPECT_THROW(
-      parallel_for_chunks(1024, 8, 1,
-                          [&](std::size_t begin, std::size_t end) {
-                            executed.fetch_add(1, std::memory_order_relaxed);
-                            if (begin >= 512) throw std::invalid_argument("late chunk");
-                            (void)end;
-                          }),
-      std::invalid_argument);
+  EXPECT_THROW(CorePool::instance().parallel_for(
+                   1024, 1, chunk_grain(1024, 1, 8), 8,
+                   [&](std::size_t begin, std::size_t end) {
+                     executed.fetch_add(1, std::memory_order_relaxed);
+                     if (begin >= 512) throw std::invalid_argument("late chunk");
+                     (void)end;
+                   }),
+               std::invalid_argument);
   EXPECT_GE(executed.load(), 1);
+}
+
+TEST(CorePool, ZeroCountIsNoop) {
+  CorePool pool(CorePool::Config{.workers = 2});
+  bool called = false;
+  const SchedulerStats stats =
+      pool.parallel_for(0, 1, 1, 4, [&](std::size_t, std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+  EXPECT_EQ(stats.tasks, 0u);
+}
+
+TEST(CorePool, RejectsZeroAlignment) {
+  CorePool pool(CorePool::Config{.workers = 2});
+  EXPECT_THROW(pool.parallel_for(10, 0, 1, 2, [](std::size_t, std::size_t) {}),
+               std::logic_error);
 }
 
 TEST(CorePool, NestedErrorDoesNotPoisonOuterRegion) {

@@ -1,4 +1,5 @@
-// Compile cache, budget fallback, segmenting, and fusion-pass unit tests.
+// Compile cache, budget fallback, segmenting, compiled-backend corner cases
+// (the empty program, the full opcode surface), and fusion-pass unit tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,10 +9,11 @@
 #include "algos/algorithm.hpp"
 #include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
+#include "check/differential.hpp"
 #include "common/rng.hpp"
+#include "common/simd_isa.hpp"
 #include "exec/backend.hpp"
 #include "exec/compiled_program.hpp"
-#include "exec/jit/jit_program.hpp"
 #include "opt/fusion.hpp"
 #include "trace/interpreter.hpp"
 
@@ -69,10 +71,7 @@ TEST(CompileCache, StreamDrainedAtMostOncePerProcess) {
         bulk::HostBulkExecutor::Options{.workers = workers, .tile_lanes = 16});
     const auto run1 = exec.run(program, inputs);
     const auto run2 = exec.run(copy, inputs);
-    // kAuto runs the JIT where emission is available and the compiled
-    // switch everywhere else — either way the program compiled.
-    EXPECT_EQ(run1.backend, exec::jit_available() ? exec::Backend::kJit
-                                                  : exec::Backend::kCompiled);
+    EXPECT_EQ(run1.backend, exec::Backend::kCompiled);
     EXPECT_EQ(run1.memory, run2.memory);
   }
   EXPECT_EQ(invocations->load(), 1);
@@ -159,6 +158,92 @@ TEST(CompiledProgramTest, SegmentBoundariesPreserveSemantics) {
     for (std::size_t a = 0; a < program.memory_words; ++a) {
       ASSERT_EQ(memory[layout.global(static_cast<Addr>(a), j)], ref.memory[a])
           << "lane " << j << " word " << a;
+    }
+  }
+}
+
+// A zero-step program compiles to zero segments — still a valid artifact —
+// and a run through it still scatters the inputs.
+TEST(CompiledProgramTest, EmptyProgramCompilesAndRuns) {
+  trace::Program program;
+  program.name = "empty";
+  program.memory_words = 4;
+  program.input_words = 4;
+  program.register_count = 1;
+  program.stream = [] { return []() -> Generator<Step> { co_return; }(); };
+
+  const auto compiled = exec::CompiledProgram::get_or_compile(program);
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_TRUE(compiled->segments().empty());
+  EXPECT_EQ(compiled->total_steps(), 0u);
+
+  const std::size_t p = 5;
+  std::vector<Word> inputs(p * 4);
+  for (std::size_t i = 0; i < inputs.size(); ++i) inputs[i] = i + 11;
+
+  const bulk::HostBulkExecutor exec(
+      bulk::Layout::column_wise(p, 4),
+      bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled});
+  const auto run = exec.run(program, inputs);
+  EXPECT_EQ(run.backend, exec::Backend::kCompiled);
+  for (std::size_t j = 0; j < p; ++j) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(run.memory[i * p + j], inputs[j * 4 + i]);
+    }
+  }
+}
+
+// Every opcode the interpreter knows must round-trip through the compiled
+// kernels at the scalar tier and at the widest tier this host runs: a
+// synthetic program touching the full ALU surface, all at once.
+TEST(CompiledProgramTest, FullOpcodeSurfaceMatchesOracle) {
+  trace::Program program;
+  program.name = "op-surface";
+  const std::size_t n = 8;
+  program.memory_words = n;
+  program.input_words = n;
+  program.register_count = 6;
+  program.stream = [n] {
+    return [](std::size_t words) -> Generator<Step> {
+      co_yield Step::load(0, 0);
+      co_yield Step::load(1, 1);
+      co_yield Step::load(2, 2);
+      for (const Op op :
+           {Op::kAddF, Op::kSubF, Op::kMulF, Op::kDivF, Op::kMinF, Op::kMaxF,
+            Op::kNegF, Op::kAddI, Op::kSubI, Op::kMulI, Op::kMinI, Op::kMaxI,
+            Op::kAnd, Op::kOr, Op::kXor, Op::kShl, Op::kShr, Op::kNotU,
+            Op::kLtF, Op::kLeF, Op::kEqF, Op::kLtI, Op::kLeI, Op::kEqI,
+            Op::kNeI, Op::kLtU, Op::kSelect, Op::kCmovLtF, Op::kCmovLtI,
+            Op::kMov}) {
+        co_yield Step::alu(op, 3, 0, 1, 2);
+        co_yield Step::alu(Op::kXor, 4, 4, 3);
+      }
+      co_yield Step::store(static_cast<Addr>(words - 1), 4);
+      co_yield Step::immediate(5, 0x9e3779b97f4a7c15ull);
+      co_yield Step::alu(Op::kAddI, 4, 4, 5);
+      co_yield Step::store(static_cast<Addr>(words - 2), 4);
+    }(n);
+  };
+
+  for (const std::size_t p : {std::size_t{3}, std::size_t{33}}) {
+    std::vector<Word> inputs(p * n);
+    Rng rng(p);
+    for (Word& w : inputs) w = rng.next_u64();
+    const std::vector<Word> oracle = check::oracle_memory(program, inputs, p);
+    const bulk::Layout layout = bulk::Layout::column_wise(p, n);
+    for (const SimdIsa isa : {SimdIsa::kScalar, detect_simd_isa()}) {
+      const bulk::HostBulkExecutor exec(
+          layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
+                                                  .simd = isa});
+      const auto run = exec.run(program, inputs);
+      ASSERT_EQ(run.backend, exec::Backend::kCompiled);
+      for (std::size_t j = 0; j < p; ++j) {
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(run.memory[layout.global(static_cast<Addr>(i), j)], oracle[j * n + i])
+              << "p=" << p << " simd=" << obx::to_string(isa) << " lane=" << j
+              << " word=" << i;
+        }
+      }
     }
   }
 }

@@ -1,12 +1,12 @@
 // Compiled-backend equivalence fuzz: for every registry algorithm, all four
 // arrangements (row, column, blocked, conflict-free), and awkward lane
-// counts, the compiled lane-tiled backend — and, where available, the JIT —
-// must produce bit-identical arranged memory to the interpreted backend, and
-// both must match the scalar interpreter per lane.  The same sweep pins the
-// compiled backend to the scalar SIMD tier and to the best tier this
-// CPU/build supports and asserts those are bit-identical too — the
-// lane-vectorization contract (including the float-op algorithms, whose
-// lane-wise IEEE results must not change with vector width).
+// counts, the compiled lane-tiled backend must produce bit-identical arranged
+// memory to the interpreted backend, and both must match the scalar
+// interpreter per lane.  The same sweep pins the compiled backend to the
+// scalar SIMD tier and to the best tier this CPU/build supports and asserts
+// those are bit-identical too — the lane-vectorization contract (including
+// the float-op algorithms, whose lane-wise IEEE results must not change with
+// vector width).
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -18,7 +18,6 @@
 #include "common/rng.hpp"
 #include "common/simd_isa.hpp"
 #include "exec/backend.hpp"
-#include "exec/jit/jit_program.hpp"
 #include "trace/interpreter.hpp"
 
 namespace {
@@ -111,18 +110,6 @@ TEST_P(ExecEquivalence, CompiledMatchesInterpretedAndInterpreter) {
     ASSERT_EQ(v.memory, s.memory)
         << name << " " << layout.name() << " p=" << p << ": " << to_string(best)
         << " vs scalar";
-  }
-
-  // JIT leg: where copy-and-patch is available, the emitted code must also
-  // be bit-identical to the interpreted reference on this arrangement.
-  if (exec::jit_available()) {
-    const HostBulkExecutor jitted(
-        layout,
-        HostBulkExecutor::Options{.workers = 2, .backend = exec::Backend::kJit});
-    const HostRunResult j = jitted.run(program, inputs);
-    ASSERT_EQ(j.backend, exec::Backend::kJit) << "program failed to JIT";
-    ASSERT_EQ(j.memory, a.memory)
-        << name << " " << layout.name() << " p=" << p << ": jit vs interpreted";
   }
 
   const std::vector<Word> outputs = compiled.gather_outputs(program, b.memory);

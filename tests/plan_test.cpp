@@ -17,7 +17,6 @@
 #include "bulk/streaming_executor.hpp"
 #include "common/rng.hpp"
 #include "exec/backend.hpp"
-#include "exec/jit/jit_program.hpp"
 #include "plan/plan_cache.hpp"
 #include "plan/planner.hpp"
 #include "serve/program_cache.hpp"
@@ -181,11 +180,8 @@ TEST(PlannerTest, ForcedArrangementSkipsSimulationChoice) {
 TEST(PlannerTest, ResolvedBackendIsNeverAuto) {
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const auto compiled = plan::build_plan(algo.make_program(64), plan::PlanOptions{});
-  // kAuto resolves to the JIT rung where emission is available, else the
-  // compiled switch — never to kAuto itself.
-  EXPECT_EQ(compiled->backend(), exec::jit_available() ? exec::Backend::kJit
-                                                       : exec::Backend::kCompiled);
-  EXPECT_EQ(compiled->jitted() != nullptr, exec::jit_available());
+  // kAuto resolves to the compiled backend — never to kAuto itself.
+  EXPECT_EQ(compiled->backend(), exec::Backend::kCompiled);
   ASSERT_NE(compiled->compiled(), nullptr);
   EXPECT_GT(compiled->provenance().compiled_segments, 0u);
   EXPECT_GT(compiled->provenance().compiled_fused_ops, 0u);
@@ -224,6 +220,36 @@ TEST(PlannerTest, OverBudgetCompileFallsBackToInterpreterAndStaysCorrect) {
   }
 }
 
+// The step profile already shows an over-budget stream; the planner must
+// not drain and fuse it only to discard the result.  Same program, same
+// options, budget one step under vs exactly at the stream length: the
+// over-budget build drains exactly one fewer time (no compile drain) and
+// leaves the compile memo untouched, with the same recorded provenance.
+TEST(PlannerTest, OverBudgetStreamIsNeverDrainedForCompile) {
+  constexpr std::size_t kSteps = kCountingWords * 3;
+  plan::PlanOptions options;
+  options.optimise = false;
+  options.arrangement = bulk::Arrangement::kColumnWise;
+
+  auto over_drains = std::make_shared<std::atomic<int>>(0);
+  const trace::Program over_program = counting_program(over_drains);
+  options.compile_budget_steps = kSteps - 1;
+  const auto over = plan::build_plan(over_program, options);
+  EXPECT_TRUE(over->provenance().compile_attempted);
+  EXPECT_FALSE(over->provenance().compiled);
+  EXPECT_EQ(over->backend(), exec::Backend::kInterpreted);
+  EXPECT_NE(over->describe().find("compile     : fallback (over budget " +
+                                  std::to_string(kSteps - 1) + ")"),
+            std::string::npos);
+  EXPECT_EQ(over_program.exec_cache->attempted_budget, 0u);  // never compiled
+
+  auto fit_drains = std::make_shared<std::atomic<int>>(0);
+  options.compile_budget_steps = kSteps;
+  const auto fit = plan::build_plan(counting_program(fit_drains), options);
+  EXPECT_TRUE(fit->provenance().compiled);
+  EXPECT_EQ(over_drains->load() + 1, fit_drains->load());
+}
+
 TEST(PlannerTest, UnitsMemoMatchesFreshSimulation) {
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const plan::PlanOptions options;
@@ -260,9 +286,7 @@ TEST(PlanCacheTest, HitReturnsIdenticalPlanAndCompiledArtifactWithoutRedrain) {
 
   const auto first = cache.get_or_build("counting", program);
   ASSERT_NE(first, nullptr);
-  const exec::Backend expect_backend =
-      exec::jit_available() ? exec::Backend::kJit : exec::Backend::kCompiled;
-  EXPECT_EQ(first->backend(), expect_backend);
+  EXPECT_EQ(first->backend(), exec::Backend::kCompiled);
   const int drains_after_build = invocations->load();
   EXPECT_GT(drains_after_build, 0);
 
@@ -277,7 +301,7 @@ TEST(PlanCacheTest, HitReturnsIdenticalPlanAndCompiledArtifactWithoutRedrain) {
   const bulk::HostBulkExecutor exec(*first, 4);
   std::vector<Word> inputs(4 * kCountingWords, Word{2});
   const auto result = exec.run(first->program(), inputs);
-  EXPECT_EQ(result.backend, expect_backend);
+  EXPECT_EQ(result.backend, exec::Backend::kCompiled);
   EXPECT_EQ(invocations->load(), drains_after_build);
 }
 
