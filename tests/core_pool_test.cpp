@@ -1,16 +1,20 @@
 // Stress suite for the thread-per-core work-stealing scheduler
 // (bulk::CorePool): concurrent submitters, steal-heavy skewed tile costs,
-// nested submission from inside a task, clean shutdown with tasks queued,
+// nested submission from inside a task (three levels deep), ragged trailing
+// tiles, the coarse chunk grain, clean shutdown with tasks queued,
 // exception semantics through private pools and the shared instance, and
 // bit-identical executor output across worker counts for the
 // whole algorithm registry × arrangements × SIMD tiers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algos/algorithm.hpp"
@@ -133,6 +137,32 @@ TEST(CorePool, NestedSubmissionFromInsideATask) {
   EXPECT_EQ(sum.load(), kOuter * kInner);
 }
 
+TEST(CorePool, ThreeLevelNestedSubmissionCoversEveryRange) {
+  // Tasks that submit regions whose tasks submit again: every level's tiles
+  // are published on a deque a thread is still pushing to.
+  CorePool pool(CorePool::Config{.workers = 3});
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kMiddle = 4;
+  constexpr std::size_t kInner = 64;
+  std::vector<std::atomic<int>> hits(kOuter * kMiddle * kInner);
+  pool.parallel_for(kOuter, 1, 1, 3, [&](std::size_t ob, std::size_t oe) {
+    for (std::size_t o = ob; o < oe; ++o) {
+      pool.parallel_for(kMiddle, 1, 1, 3, [&](std::size_t mb, std::size_t me) {
+        for (std::size_t m = mb; m < me; ++m) {
+          pool.parallel_for(kInner, 1, 8, 3, [&](std::size_t ib, std::size_t ie) {
+            for (std::size_t i = ib; i < ie; ++i) {
+              hits[(o * kMiddle + m) * kInner + i].fetch_add(1, std::memory_order_relaxed);
+            }
+          });
+        }
+      });
+    }
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
 TEST(CorePool, CleanShutdownWaitsForQueuedTasks) {
   std::vector<std::atomic<int>> hits(64);
   std::atomic<bool> region_started{false};
@@ -204,6 +234,25 @@ TEST(CorePool, RejectsZeroAlignment) {
   CorePool pool(CorePool::Config{.workers = 2});
   EXPECT_THROW(pool.parallel_for(10, 0, 1, 2, [](std::size_t, std::size_t) {}),
                std::logic_error);
+}
+
+TEST(CorePool, TrailingPartialTileCoversRaggedTail) {
+  // A count that is not an align multiple is allowed: interior boundaries
+  // stay on align multiples and one short trailing tile covers the rest
+  // (the padded tail of a blocked layout).
+  CorePool pool(CorePool::Config{.workers = 2});
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> tiles;
+  const SchedulerStats stats =
+      pool.parallel_for(10, 3, 3, 2, [&](std::size_t begin, std::size_t end) {
+        std::lock_guard<std::mutex> lock(mu);
+        tiles.emplace_back(begin, end);
+      });
+  std::sort(tiles.begin(), tiles.end());
+  const std::vector<std::pair<std::size_t, std::size_t>> expected{
+      {0, 3}, {3, 6}, {6, 9}, {9, 10}};
+  EXPECT_EQ(tiles, expected);
+  EXPECT_EQ(stats.tasks, 4u);
 }
 
 TEST(CorePool, NestedErrorDoesNotPoisonOuterRegion) {
@@ -359,6 +408,34 @@ TEST(CorePoolDefaults, DefaultWorkerCountIsPositiveAndAffinityBounded) {
   // Latched: repeated calls agree (the pool sizes itself from this).
   EXPECT_EQ(default_worker_count(), n);
   EXPECT_LE(n, 1024u);
+}
+
+TEST(CorePoolDefaults, ChunkGrainIsAPositiveAlignMultiple) {
+  for (const std::size_t align : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
+    for (const unsigned workers : {0u, 1u, 4u, 8u}) {
+      for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{100},
+                                      std::size_t{4096}, std::size_t{100003}}) {
+        const std::size_t g = chunk_grain(count, align, workers);
+        ASSERT_GT(g, 0u);
+        EXPECT_EQ(g % align, 0u) << "count=" << count << " align=" << align;
+        // Enough blocks for ~4 tiles per worker: between 4 and 8 per worker.
+        const std::size_t w = std::max(1u, workers);
+        if (count / align >= 4 * w) {
+          const std::size_t tiles = (count + g - 1) / g;
+          EXPECT_GE(tiles, 4 * w) << "count=" << count << " align=" << align;
+          EXPECT_LE(tiles, 8 * w + 1) << "count=" << count << " align=" << align;
+        } else {
+          EXPECT_EQ(g, align) << "count=" << count << " workers=" << workers;
+        }
+      }
+    }
+  }
+}
+
+TEST(CorePoolDefaults, SharedInstanceIsProcessWideAndDefaultSized) {
+  CorePool& pool = CorePool::instance();
+  EXPECT_EQ(&CorePool::instance(), &pool);
+  EXPECT_EQ(pool.worker_count(), default_worker_count());
 }
 
 }  // namespace

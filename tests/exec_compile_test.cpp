@@ -1,5 +1,6 @@
-// Compile cache, budget fallback, segmenting, compiled-backend corner cases
-// (the empty program, the full opcode surface), and fusion-pass unit tests.
+// Compile cache, budget fallback and straddle, segmenting, compiled-backend
+// corner cases (the empty program, the full opcode surface, the arrangement x
+// ragged-lane x tile matrix), and fusion-pass unit tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -126,6 +127,33 @@ TEST(CompileCache, RaisedBudgetRetriesAfterFailure) {
   EXPECT_EQ(compiled->counts().alu, kCountingWords);
 }
 
+// One step under budget must fall back to the interpreter; exactly at budget
+// must compile.  Fresh cache slots so the straddle is exercised, not
+// memoised away.
+TEST(CompileCache, CompileBudgetStraddle) {
+  auto invocations = std::make_shared<std::atomic<int>>(0);
+  trace::Program program = counting_program(invocations);
+  constexpr std::size_t kSteps = kCountingWords * 3;
+  const std::size_t p = 4;
+  const std::vector<Word> inputs = iota_inputs(p, kCountingWords);
+  const bulk::Layout layout = bulk::Layout::column_wise(p, program.memory_words);
+
+  program.exec_cache = std::make_shared<trace::ExecCacheSlot>();
+  const bulk::HostBulkExecutor under(
+      layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
+                                              .compile_budget_steps = kSteps - 1});
+  const auto under_run = under.run(program, inputs);
+  EXPECT_EQ(under_run.backend, exec::Backend::kInterpreted);
+
+  program.exec_cache = std::make_shared<trace::ExecCacheSlot>();
+  const bulk::HostBulkExecutor exact(
+      layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
+                                              .compile_budget_steps = kSteps});
+  const auto exact_run = exact.run(program, inputs);
+  EXPECT_EQ(exact_run.backend, exec::Backend::kCompiled);
+  EXPECT_EQ(under_run.memory, exact_run.memory);
+}
+
 TEST(CompiledProgramTest, SegmentBoundariesPreserveSemantics) {
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const std::size_t n = 64;
@@ -242,6 +270,55 @@ TEST(CompiledProgramTest, FullOpcodeSurfaceMatchesOracle) {
           ASSERT_EQ(run.memory[layout.global(static_cast<Addr>(i), j)], oracle[j * n + i])
               << "p=" << p << " simd=" << obx::to_string(isa) << " lane=" << j
               << " word=" << i;
+        }
+      }
+    }
+  }
+}
+
+// The acceptance matrix of the compiled engine: every arrangement x ragged
+// lane count x tile size must be bit-identical to trace::interpret, and must
+// actually run compiled (backend == kCompiled), not a silent fallback.
+TEST(CompiledProgramTest, BitIdenticalAcrossArrangementsRaggedLanesAndTiles) {
+  const algos::Algorithm& algo = algos::find("prefix-sums");
+  const std::size_t n = 32;
+  const trace::Program program = algo.make_program(n);
+
+  struct Arr {
+    bulk::Arrangement arrangement;
+    std::size_t param;
+  };
+  const std::vector<Arr> arrangements{{bulk::Arrangement::kColumnWise, 0},
+                                      {bulk::Arrangement::kRowWise, 0},
+                                      {bulk::Arrangement::kBlocked, 4},
+                                      {bulk::Arrangement::kConflictFree, 2}};
+  for (const std::size_t p : {std::size_t{1}, std::size_t{3}, std::size_t{7},
+                              std::size_t{9}, std::size_t{63}, std::size_t{65}}) {
+    Rng rng(7 * p + 1);
+    std::vector<Word> inputs;
+    for (std::size_t j = 0; j < p; ++j) {
+      const auto one = algo.make_input(n, rng);
+      inputs.insert(inputs.end(), one.begin(), one.end());
+    }
+    const std::vector<Word> oracle = check::oracle_memory(program, inputs, p);
+    for (const Arr& arr : arrangements) {
+      for (const std::size_t tile : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+        const bulk::Layout layout =
+            bulk::make_layout(program, p, arr.arrangement, arr.param);
+        const bulk::HostBulkExecutor exec(
+            layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
+                                                    .tile_lanes = tile});
+        const auto run = exec.run(program, inputs);
+        ASSERT_EQ(run.backend, exec::Backend::kCompiled)
+            << "p=" << p << " arr=" << bulk::to_string(arr.arrangement)
+            << " tile=" << tile;
+        for (std::size_t j = 0; j < p; ++j) {
+          for (std::size_t i = 0; i < program.memory_words; ++i) {
+            ASSERT_EQ(run.memory[layout.global(static_cast<Addr>(i), j)],
+                      oracle[j * program.memory_words + i])
+                << "p=" << p << " arr=" << bulk::to_string(arr.arrangement)
+                << " tile=" << tile << " lane=" << j << " word=" << i;
+          }
         }
       }
     }

@@ -2,6 +2,7 @@
 // every arrangement, every algorithm, and with multi-threaded chunking.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -109,6 +110,31 @@ TEST(HostExecutor, BlockedChunksAlignToBlocks) {
   const HostBulkExecutor multi(layout, HostBulkExecutor::Options{.workers = 5});
   const HostBulkExecutor single(layout, HostBulkExecutor::Options{.workers = 1});
   EXPECT_EQ(multi.run(program, inputs).memory, single.run(program, inputs).memory);
+}
+
+// kAuto runs the compiled engine while the program fits the compile budget
+// and degrades to the interpreter once it does not, with identical results.
+TEST(HostExecutor, AutoBackendCompilesInBudgetAndFallsBackOverBudget) {
+  const algos::Algorithm& algo = algos::find("prefix-sums");
+  const std::size_t n = 16;
+  const std::size_t p = 9;
+  trace::Program program = algo.make_program(n);
+  Rng rng(10);
+  const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
+  const Layout layout = Layout::column_wise(p, program.memory_words);
+
+  const HostRunResult fits =
+      HostBulkExecutor(layout, HostBulkExecutor::Options{.backend = exec::Backend::kAuto})
+          .run(program, inputs);
+  EXPECT_EQ(fits.backend, exec::Backend::kCompiled);
+
+  program.exec_cache = std::make_shared<trace::ExecCacheSlot>();
+  const HostRunResult over =
+      HostBulkExecutor(layout, HostBulkExecutor::Options{.backend = exec::Backend::kAuto,
+                                                         .compile_budget_steps = 1})
+          .run(program, inputs);
+  EXPECT_EQ(over.backend, exec::Backend::kInterpreted);
+  EXPECT_EQ(fits.memory, over.memory);
 }
 
 TEST(HostExecutor, RejectsMismatchedSizes) {

@@ -125,6 +125,23 @@ TEST(PlanOptionsTest, FingerprintIsDeterministicAndKnobSensitive) {
   EXPECT_NE(o.fingerprint(), col);
 }
 
+// The engine and the compile budget decide what a plan runs, so each must
+// key the plan cache separately.
+TEST(PlanOptionsTest, FingerprintSeparatesEnginesAndBudgets) {
+  plan::PlanOptions o;
+  o.backend = exec::Backend::kAuto;
+  const auto auto_fp = o.fingerprint();
+  o.backend = exec::Backend::kInterpreted;
+  const auto interp_fp = o.fingerprint();
+  o.backend = exec::Backend::kCompiled;
+  const auto compiled_fp = o.fingerprint();
+  EXPECT_NE(auto_fp, interp_fp);
+  EXPECT_NE(auto_fp, compiled_fp);
+  EXPECT_NE(interp_fp, compiled_fp);
+  o.compile_budget_steps += 1;
+  EXPECT_NE(o.fingerprint(), compiled_fp);
+}
+
 TEST(PlannerTest, SameInputsProduceIdenticalPlans) {
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const plan::PlanOptions options;
@@ -248,6 +265,83 @@ TEST(PlannerTest, OverBudgetStreamIsNeverDrainedForCompile) {
   const auto fit = plan::build_plan(counting_program(fit_drains), options);
   EXPECT_TRUE(fit->provenance().compiled);
   EXPECT_EQ(over_drains->load() + 1, fit_drains->load());
+}
+
+// Running the over-budget plan must not resurrect the compile the planner
+// skipped: the run drains only for its one interpreted chunk and the compile
+// memo stays empty.
+TEST(PlannerTest, OverBudgetPlanRunsWithoutACompileDrain) {
+  constexpr std::size_t kSteps = kCountingWords * 3;
+  plan::PlanOptions options;
+  options.optimise = false;
+  options.arrangement = bulk::Arrangement::kColumnWise;
+  options.workers = 1;
+  options.compile_budget_steps = kSteps - 1;
+  auto drains = std::make_shared<std::atomic<int>>(0);
+  const trace::Program program = counting_program(drains);
+  const auto plan = plan::build_plan(program, options);
+  ASSERT_EQ(plan->backend(), exec::Backend::kInterpreted);
+
+  const std::size_t p = 6;
+  std::vector<Word> inputs(p * kCountingWords);
+  for (std::size_t i = 0; i < inputs.size(); ++i) inputs[i] = i * 5 + 2;
+  const int before = drains->load();
+  const auto result = plan::run(*plan, inputs, p);
+  EXPECT_EQ(result.backend, exec::Backend::kInterpreted);
+  EXPECT_EQ(drains->load(), before + 1);
+  EXPECT_EQ(program.exec_cache->artifact, nullptr);
+  EXPECT_EQ(program.exec_cache->attempted_budget, 0u);
+}
+
+// Skipping the over-budget compile records nothing in the shared memo, so a
+// later plan of the same program with a budget that fits compiles it, and
+// the artifact it keeps is the memoised one.
+TEST(PlannerTest, SkippedCompileLeavesTheMemoFreeForALargerBudget) {
+  constexpr std::size_t kSteps = kCountingWords * 3;
+  plan::PlanOptions options;
+  options.optimise = false;
+  options.arrangement = bulk::Arrangement::kColumnWise;
+  auto drains = std::make_shared<std::atomic<int>>(0);
+  const trace::Program program = counting_program(drains);
+
+  options.compile_budget_steps = kSteps - 1;
+  const auto over = plan::build_plan(program, options);
+  EXPECT_FALSE(over->provenance().compiled);
+
+  options.compile_budget_steps = kSteps;
+  const auto fit = plan::build_plan(program, options);
+  EXPECT_TRUE(fit->provenance().compiled);
+  EXPECT_EQ(fit->backend(), exec::Backend::kCompiled);
+  const int after_fit = drains->load();
+  EXPECT_EQ(exec::CompiledProgram::get_or_compile(program, {.max_steps = kSteps}),
+            fit->compiled());
+  EXPECT_EQ(drains->load(), after_fit);  // memo hit, no re-drain
+}
+
+// An explicitly requested compiled backend that is over budget falls back
+// exactly like kAuto, and drains the stream no more often than a plan that
+// asked for the interpreter outright.
+TEST(PlannerTest, ExplicitCompiledBackendOverBudgetDrainsLikeTheInterpreter) {
+  constexpr std::size_t kSteps = kCountingWords * 3;
+  plan::PlanOptions options;
+  options.optimise = false;
+  options.arrangement = bulk::Arrangement::kColumnWise;
+
+  auto interp_drains = std::make_shared<std::atomic<int>>(0);
+  options.backend = exec::Backend::kInterpreted;
+  const auto interp = plan::build_plan(counting_program(interp_drains), options);
+  EXPECT_FALSE(interp->provenance().compile_attempted);
+  EXPECT_EQ(interp->backend(), exec::Backend::kInterpreted);
+
+  auto over_drains = std::make_shared<std::atomic<int>>(0);
+  options.backend = exec::Backend::kCompiled;
+  options.compile_budget_steps = kSteps - 1;
+  const auto over = plan::build_plan(counting_program(over_drains), options);
+  EXPECT_TRUE(over->provenance().compile_attempted);
+  EXPECT_FALSE(over->provenance().compiled);
+  EXPECT_EQ(over->backend(), exec::Backend::kInterpreted);
+  EXPECT_EQ(over->compiled(), nullptr);
+  EXPECT_EQ(over_drains->load(), interp_drains->load());
 }
 
 TEST(PlannerTest, UnitsMemoMatchesFreshSimulation) {
