@@ -19,7 +19,6 @@
 #include "algos/tea_cipher.hpp"
 #include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
-#include "bulk/streaming_executor.hpp"
 #include "bulk/timing_estimator.hpp"
 #include "bulk/umm_executor.hpp"
 #include "common/rng.hpp"
@@ -291,19 +290,21 @@ void BM_StridedStepCost(benchmark::State& state) {
 }
 BENCHMARK(BM_StridedStepCost);
 
-void BM_StreamingExecutor(benchmark::State& state) {
+void BM_RunStreaming(benchmark::State& state) {
   // Overhead of batching + callbacks vs the monolithic host run.
   const std::size_t n = 64;
   const std::size_t p = 1 << 12;
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const trace::Program program = algos::prefix_sums_program(n);
+  plan::PlanOptions options;
+  options.workers = 1;
+  options.arrangement = bulk::Arrangement::kColumnWise;
+  const auto plan = plan::build_plan(algos::prefix_sums_program(n), options);
+  const trace::Program& program = plan->program();
   const std::vector<Word> inputs = make_inputs(n, p);
-  const bulk::StreamingExecutor exec(
-      bulk::StreamingExecutor::Options{.max_resident_lanes = batch});
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    exec.run(
-        program, p,
+    plan::run_streaming(
+        *plan, p, batch,
         [&](Lane j, std::span<Word> dst) {
           const Word* src = inputs.data() + j * n;
           std::copy(src, src + n, dst.begin());
@@ -314,7 +315,7 @@ void BM_StreamingExecutor(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p * program.profile().total()));
 }
-BENCHMARK(BM_StreamingExecutor)->Arg(1 << 8)->Arg(1 << 12);
+BENCHMARK(BM_RunStreaming)->Arg(1 << 8)->Arg(1 << 12);
 
 void BM_AlgosSuite(benchmark::State& state) {
   // The whole registry as one serving-shaped scenario sweep: every algorithm

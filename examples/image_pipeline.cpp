@@ -3,15 +3,15 @@
 // A camera feed is processed as a stream of 32x32 tiles.  For each tile the
 // oblivious summed-area algorithm produces the integral image, from which
 // arbitrary box sums cost 4 lookups — the classic Viola-Jones front end.
-// The StreamingExecutor keeps only a small batch of tiles resident, so an
+// plan::run_streaming keeps only a small batch of tiles resident, so an
 // arbitrarily long stream runs in constant memory.
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "algos/summed_area.hpp"
-#include "bulk/streaming_executor.hpp"
 #include "common/rng.hpp"
+#include "plan/planner.hpp"
 #include "trace/value.hpp"
 
 namespace {
@@ -44,14 +44,14 @@ double box_sum(std::span<const Word> integral, std::size_t r0, std::size_t c0,
 
 int main() {
   using namespace obx;
-  const trace::Program program = algos::summed_area_program(kSide);
-
-  // Stream all tiles through the bulk executor, keeping kResident resident.
+  // Plan once at the resident occupancy, then stream all tiles through it,
+  // keeping kResident resident.
+  plan::PlanOptions options;
+  options.reference_lanes = kResident;
+  const auto plan = plan::build_plan(algos::summed_area_program(kSide), options);
   std::vector<std::vector<Word>> integrals(kTiles);
-  bulk::StreamingExecutor exec(
-      bulk::StreamingExecutor::Options{.max_resident_lanes = kResident});
-  const auto stats = exec.run(
-      program, kTiles,
+  const plan::StreamStats stats = plan::run_streaming(
+      *plan, kTiles, kResident,
       [&](Lane tile, std::span<Word> dst) {
         for (std::size_t r = 0; r < kSide; ++r) {
           for (std::size_t c = 0; c < kSide; ++c) {
@@ -64,7 +64,8 @@ int main() {
       });
   std::printf("streamed %zu tiles in %zu batches (%zu resident), %.1f ms "
               "(%.1f ms execute + %.1f ms callbacks)\n",
-              stats.lanes, stats.batches, kResident, stats.seconds() * 1e3,
+              stats.lanes, stats.batches, kResident,
+              (stats.execute_seconds + stats.callback_seconds) * 1e3,
               stats.execute_seconds * 1e3, stats.callback_seconds * 1e3);
 
   // Verify random box queries against direct summation, and find the bright

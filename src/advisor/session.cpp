@@ -9,7 +9,7 @@
 namespace obx::advisor {
 
 Session::Session(SessionOptions options) : options_(options) {
-  options_.machine.validate();
+  options_.plan.machine.validate();
   OBX_CHECK(options_.memory_budget_words > 0, "memory budget must be positive");
 }
 
@@ -22,13 +22,8 @@ SessionReport Session::run(
 
   // One-off plan: optimise → compile → arrange (at the session's actual
   // occupancy p) → tile, all decided by the single planning layer.
-  plan::PlanOptions po;
-  po.machine = options_.machine;
+  plan::PlanOptions po = options_.plan;
   po.reference_lanes = p;
-  po.optimise = options_.optimize;
-  po.optimise_step_limit = options_.optimise_step_limit;
-  po.workers = options_.workers;
-  po.arrangement = options_.arrangement;
   const std::shared_ptr<const plan::ExecutionPlan> plan =
       plan::Planner(po).build(program);
 
@@ -45,7 +40,7 @@ SessionReport Session::run(
   const auto stats =
       plan::run_streaming(*plan, p, report.batch_lanes, fill_input, consume_output);
   report.batches = stats.batches;
-  report.host_seconds = stats.seconds();
+  report.host_seconds = stats.execute_seconds + stats.callback_seconds;
   report.host_execute_seconds = stats.execute_seconds;
   report.host_callback_seconds = stats.callback_seconds;
   return report;

@@ -15,39 +15,27 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
 
 #include "common/types.hpp"
 #include "bulk/layout.hpp"
-#include "bulk/core_pool.hpp"
+#include "plan/plan.hpp"
 #include "trace/program.hpp"
-#include "umm/machine_config.hpp"
 
 namespace obx::advisor {
 
 struct SessionOptions {
-  /// Machine the simulated-time estimate is computed for (and that the
-  /// arrangement recommendation targets).
-  umm::MachineConfig machine{.width = 32, .latency = 200};
-
   /// Peak resident words for lane data (inputs + arranged memory + outputs
   /// of one batch).  Batches are sized to stay under this.
   std::size_t memory_budget_words = 1u << 24;
 
-  /// Host threads per batch.  Defaults to the machine's core count so
-  /// callers (and service batches) use the host out of the box; set to 1 for
-  /// deterministic single-threaded timing runs.
-  unsigned workers = bulk::default_worker_count();
-
-  /// Run the peephole optimiser on the program first (skipped automatically
-  /// for programs longer than optimise_step_limit).
-  bool optimize = true;
-  std::size_t optimise_step_limit = 1u << 22;
-
-  /// Force an arrangement instead of taking the advisor's recommendation.
-  std::optional<bulk::Arrangement> arrangement;
+  /// How the program is planned: the machine the simulated-time estimate
+  /// (and the arrangement choice) targets, the optimiser, a forced
+  /// arrangement, workers per batch (0, the default, = the host's cores; 1 =
+  /// deterministic single-threaded timing runs).  reference_lanes is
+  /// overridden with the session's lane count p.
+  plan::PlanOptions plan;
 };
 
 struct SessionReport {
@@ -73,7 +61,7 @@ class Session {
   explicit Session(SessionOptions options);
 
   /// Executes `program` for p lanes with callback-fed inputs and outputs
-  /// (the StreamingExecutor contract: fill_input(j, dst) writes lane j's
+  /// (the plan::run_streaming contract: fill_input(j, dst) writes lane j's
   /// input words; consume_output(j, out) receives its output region).
   SessionReport run(
       const trace::Program& program, std::size_t p,

@@ -1,7 +1,6 @@
 #include "bulk/host_executor.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/check.hpp"
 #include "bulk/core_pool.hpp"
@@ -153,15 +152,12 @@ HostRunResult HostBulkExecutor::run(const trace::Program& program,
     // the L1-sized, W-multiple tiles the kernels already use.  For blocked
     // layouts the tile divides the block (resolve_tile_lanes), so
     // tile-aligned task boundaries never split a block.
-    const auto t0 = std::chrono::steady_clock::now();
     result.sched += pool.parallel_for(
         p, align == 1 ? 1 : tile, tile, workers,
         [&](std::size_t begin, std::size_t end) {
           exec::run_compiled_chunk(*compiled, layout_, inputs, program.input_words,
                                    result.memory, begin, end, tile, isa);
         });
-    const auto t1 = std::chrono::steady_clock::now();
-    result.seconds = std::chrono::duration<double>(t1 - t0).count();
     return result;
   }
   result.simd = active_simd_isa();  // what trace::bulk_alu will dispatch to
@@ -177,15 +173,12 @@ HostRunResult HostBulkExecutor::run(const trace::Program& program,
   // Coarse chunks (~4 per worker), not per-tile: every interpreted chunk
   // re-drains the program stream, so the grain must amortise that cost.
   // The chunk containing lane 0 reports the per-input step counts.
-  const auto t0 = std::chrono::steady_clock::now();
   result.sched += pool.parallel_for(
       p, align, chunk_grain(p, align, workers), workers,
       [&](std::size_t begin, std::size_t end) {
         run_chunk(program, result.memory, begin, end,
                   begin == 0 ? &result.counts : nullptr);
       });
-  const auto t1 = std::chrono::steady_clock::now();
-  result.seconds = std::chrono::duration<double>(t1 - t0).count();
   return result;
 }
 

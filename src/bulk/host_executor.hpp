@@ -32,10 +32,6 @@ struct HostRunResult {
   /// the same contents (see common/aligned.hpp).
   aligned_vector<Word> memory;
   trace::StepCounts counts;   ///< steps in one program stream (per input)
-  /// Wall-clock of the lockstep loop.  The interpreted backend scatters
-  /// before the clock starts; the compiled backend scatters tile-by-tile
-  /// inside it, so its seconds include scatter.
-  double seconds = 0.0;
   /// Engine that actually ran: kCompiled when the fused lane-tiled backend
   /// did, kInterpreted when the program exceeded the compile budget (or the
   /// interpreter was requested).
@@ -62,10 +58,10 @@ class HostBulkExecutor {
     /// this many threads of the shared bulk::CorePool (the caller counts as
     /// one).  1 = run inline on the caller; 0 = auto (default_worker_count).
     unsigned workers = 1;
-    /// Lockstep engine.  kAuto / kCompiled compile the step stream once per
-    /// (program, process) and run fused lane-tiled kernels, falling back to
+    /// Lockstep engine.  kCompiled compiles the step stream once per
+    /// (program, process) and runs fused lane-tiled kernels, falling back to
     /// the interpreter when the program exceeds compile_budget_steps.
-    exec::Backend backend = exec::Backend::kAuto;
+    exec::Backend backend = exec::Backend::kCompiled;
     std::size_t tile_lanes = 0;  ///< compiled lane-tile size; 0 = auto (fit L1)
     std::size_t compile_budget_steps = exec::kDefaultCompileBudget;
     /// SIMD tier for the compiled backend's lane-vectorized kernels.
@@ -85,7 +81,8 @@ class HostBulkExecutor {
   /// budget and worker count all come from the plan, sized for `lanes`
   /// lanes.  run() must be given plan.program() (the plan's optimised
   /// program) — or use plan::run(), which cannot get the pairing wrong.
-  /// Defined in src/plan/executor_shim.cpp: link obx_plan (or obx::obx).
+  /// Defined in src/plan/plan.cpp (bulk/ sits below plan/ and must not link
+  /// upward): link obx_plan (or obx::obx).
   HostBulkExecutor(const plan::ExecutionPlan& plan, std::size_t lanes);
 
   /// Runs `program` on p inputs given lane-major flat: input j occupies
@@ -100,7 +97,7 @@ class HostBulkExecutor {
                                    std::span<const Word> memory) const;
 
   /// As above, writing into `out` (resized to p * output_words) so repeated
-  /// runs — e.g. StreamingExecutor batches — reuse one allocation.
+  /// runs — e.g. plan::run_streaming batches — reuse one allocation.
   void gather_outputs(const trace::Program& program, std::span<const Word> memory,
                       std::vector<Word>& out) const;
 

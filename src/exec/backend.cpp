@@ -130,7 +130,6 @@ SegmentFn segment_fn_for(SimdIsa isa) {
 
 std::string to_string(Backend backend) {
   switch (backend) {
-    case Backend::kAuto: return "auto";
     case Backend::kInterpreted: return "interpreted";
     case Backend::kCompiled: return "compiled";
   }

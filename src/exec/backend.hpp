@@ -22,11 +22,11 @@
 
 namespace obx::exec {
 
-/// Which lockstep engine HostBulkExecutor uses.  kAuto and kCompiled run the
-/// compiled backend, degrading to the interpreter when the program exceeds
-/// the compile budget (the fallback is recorded in the run result rather
-/// than failing).  The numeric values are folded into plan fingerprints.
-enum class Backend : std::uint8_t { kAuto, kInterpreted, kCompiled };
+/// Which lockstep engine HostBulkExecutor uses.  kCompiled runs the compiled
+/// backend, degrading to the interpreter when the program exceeds the compile
+/// budget (the fallback is recorded in the run result rather than failing).
+/// The numeric values are folded into plan fingerprints.
+enum class Backend : std::uint8_t { kInterpreted, kCompiled };
 
 std::string to_string(Backend backend);
 

@@ -75,6 +75,7 @@ struct Stats {
   std::atomic<std::uint64_t> would_block{0};
   std::atomic<std::uint64_t> idle_timeouts{0};
   std::atomic<std::uint64_t> stall_timeouts{0};
+  std::atomic<std::uint64_t> write_buffer_bytes{0};
 };
 
 struct Connection {
@@ -217,6 +218,7 @@ class Server::Loop {
     s.would_block = stats_.would_block.load();
     s.idle_timeouts = stats_.idle_timeouts.load();
     s.stall_timeouts = stats_.stall_timeouts.load();
+    s.write_buffer_bytes = stats_.write_buffer_bytes.load();
     return s;
   }
 
@@ -435,7 +437,12 @@ class Server::Loop {
       conn.write_pos = 0;
       conn.last_write_progress = now;
     }
+    const std::size_t capacity = conn.write_buf.capacity();
     encode_frame(frame, conn.write_buf);
+    if (conn.write_buf.capacity() != capacity) {
+      stats_.write_buffer_bytes.fetch_add(conn.write_buf.capacity() - capacity,
+                                          std::memory_order_relaxed);
+    }
     conn.unflushed = true;
   }
 
@@ -467,6 +474,13 @@ class Server::Loop {
     }
     conn.write_buf.clear();
     conn.write_pos = 0;
+    // A burst (a big batch's responses) can leave a buffer many times the
+    // steady need; give it back once nothing more is owed on this connection.
+    if (conn.in_flight == 0 && conn.write_buf.capacity() > kReadChunkBytes) {
+      stats_.write_buffer_bytes.fetch_sub(conn.write_buf.capacity(),
+                                          std::memory_order_relaxed);
+      std::vector<std::uint8_t>().swap(conn.write_buf);
+    }
   }
 
   void enforce_timeouts(Clock::time_point now) {
@@ -510,6 +524,8 @@ class Server::Loop {
 
   void close_connection(std::map<std::uint64_t, Connection>::iterator it) {
     if (it->second.parked) --parked_count_;
+    stats_.write_buffer_bytes.fetch_sub(it->second.write_buf.capacity(),
+                                        std::memory_order_relaxed);
     connections_.erase(it);
     stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
     stats_.connections_active.store(connections_.size(),
@@ -605,6 +621,8 @@ std::string render_server_stats(const ServerStatsSnapshot& s) {
   counter("obx_net_would_block_total", s.would_block);
   counter("obx_net_idle_timeouts_total", s.idle_timeouts);
   counter("obx_net_stall_timeouts_total", s.stall_timeouts);
+  os << "# TYPE obx_net_write_buffer_bytes gauge\n"
+     << "obx_net_write_buffer_bytes " << s.write_buffer_bytes << '\n';
   return os.str();
 }
 

@@ -56,7 +56,8 @@ struct ServerOptions {
   std::chrono::milliseconds drain_timeout{5000};
 };
 
-/// Event-loop counters; all monotonic except connections_active.
+/// Event-loop counters; all monotonic except the connections_active and
+/// write_buffer_bytes gauges.
 struct ServerStatsSnapshot {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_refused = 0;
@@ -73,6 +74,10 @@ struct ServerStatsSnapshot {
   std::uint64_t would_block = 0;
   std::uint64_t idle_timeouts = 0;
   std::uint64_t stall_timeouts = 0;
+  /// Bytes reserved by the connections' write buffers.  A drained buffer of
+  /// a connection with nothing in flight keeps at most kReadChunkBytes, so
+  /// a burst's high-water allocation does not stay resident while it idles.
+  std::uint64_t write_buffer_bytes = 0;
 
   /// The wire-level exactly-once ledger (valid once the service quiesced).
   bool exactly_once() const {

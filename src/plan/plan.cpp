@@ -1,7 +1,9 @@
 #include "plan/plan.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -47,7 +49,6 @@ std::uint64_t PlanOptions::fingerprint() const {
   d.mix(reference_lanes);
   d.mix_bool(optimise);
   d.mix(optimise_step_limit);
-  d.mix_bool(compile);
   d.mix(compile_budget_steps);
   d.mix(static_cast<std::uint64_t>(backend));
   d.mix(tile_lanes);
@@ -119,19 +120,6 @@ bulk::HostBulkExecutor::Options ExecutionPlan::host_options(std::size_t lanes) c
       .simd = provenance_.simd};
 }
 
-bulk::StreamingExecutor::Options ExecutionPlan::streaming_options(
-    std::size_t max_resident_lanes) const {
-  return bulk::StreamingExecutor::Options{
-      .max_resident_lanes = max_resident_lanes,
-      .workers = workers_for_lanes(max_resident_lanes),
-      .arrangement = arrangement_,
-      .arrangement_param = arrangement_param_,
-      .backend = backend_,
-      .tile_lanes = options_.tile_lanes,
-      .compile_budget_steps = options_.compile_budget_steps,
-      .simd = provenance_.simd};
-}
-
 std::string ExecutionPlan::describe() const {
   std::ostringstream os;
   const PlanProvenance& pv = provenance_;
@@ -173,9 +161,7 @@ std::string ExecutionPlan::describe() const {
 
   os << "  compile     : ";
   if (!pv.compile_attempted) {
-    os << (options_.backend == exec::Backend::kInterpreted
-               ? "skipped (interpreted backend)"
-               : "disabled");
+    os << "skipped (interpreted backend)";
   } else if (!pv.compiled) {
     os << "fallback (over budget " << options_.compile_budget_steps << ")";
   } else {
@@ -234,12 +220,62 @@ bulk::HostRunResult run(const ExecutionPlan& plan, std::span<const Word> inputs,
   return result;
 }
 
-bulk::StreamingExecutor::Stats run_streaming(
+StreamStats run_streaming(
     const ExecutionPlan& plan, std::size_t p, std::size_t max_resident_lanes,
     const std::function<void(Lane, std::span<Word>)>& fill_input,
     const std::function<void(Lane, std::span<const Word>)>& consume_output) {
-  const bulk::StreamingExecutor exec(plan, max_resident_lanes);
-  return exec.run(plan.program(), p, fill_input, consume_output);
+  OBX_CHECK(max_resident_lanes > 0, "need at least one resident lane");
+  OBX_CHECK(fill_input != nullptr && consume_output != nullptr, "callbacks required");
+  const trace::Program& program = plan.program();
+  using Clock = std::chrono::steady_clock;
+  const auto elapsed = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
+
+  StreamStats stats;
+  stats.lanes = p;
+  // All full batches share one executor; only a trailing partial batch
+  // (the batch size changes at most once) builds a second one.
+  std::optional<bulk::HostBulkExecutor> exec;
+  std::vector<Word> inputs;
+  std::vector<Word> outputs;
+  for (Lane base = 0; base < p; base += max_resident_lanes) {
+    const std::size_t batch = std::min(max_resident_lanes, p - base);
+    inputs.assign(batch * program.input_words, Word{0});
+    const auto fill_start = Clock::now();
+    for (std::size_t j = 0; j < batch; ++j) {
+      fill_input(base + j, std::span<Word>(inputs).subspan(j * program.input_words,
+                                                           program.input_words));
+    }
+
+    const auto exec_start = Clock::now();
+    if (!exec.has_value() || exec->layout().lanes() != batch) {
+      exec.emplace(plan.layout(batch), plan.host_options(batch));
+    }
+    const bulk::HostRunResult run = exec->run(program, inputs);
+    stats.sched += run.sched;
+    exec->gather_outputs(program, run.memory, outputs);
+    const auto consume_start = Clock::now();
+    for (std::size_t j = 0; j < batch; ++j) {
+      consume_output(base + j, std::span<const Word>(outputs).subspan(
+                                   j * program.output_words, program.output_words));
+    }
+    const auto batch_end = Clock::now();
+    stats.callback_seconds +=
+        elapsed(fill_start, exec_start) + elapsed(consume_start, batch_end);
+    stats.execute_seconds += elapsed(exec_start, consume_start);
+    ++stats.batches;
+  }
+  return stats;
 }
 
 }  // namespace obx::plan
+
+namespace obx::bulk {
+
+// Declared on HostBulkExecutor so executors accept a plan at the call site,
+// defined here because bulk/ sits below plan/ and must not link upward.
+HostBulkExecutor::HostBulkExecutor(const plan::ExecutionPlan& plan, std::size_t lanes)
+    : HostBulkExecutor(plan.layout(lanes), plan.host_options(lanes)) {}
+
+}  // namespace obx::bulk

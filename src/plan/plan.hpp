@@ -46,9 +46,9 @@
 
 #include "common/simd_isa.hpp"
 #include "common/types.hpp"
+#include "bulk/core_pool.hpp"
 #include "bulk/host_executor.hpp"
 #include "bulk/layout.hpp"
-#include "bulk/streaming_executor.hpp"
 #include "exec/backend.hpp"
 #include "exec/compiled_program.hpp"
 #include "opt/optimizer.hpp"
@@ -58,9 +58,10 @@
 namespace obx::plan {
 
 /// Every input-independent knob of the optimise → compile → arrange → tile
-/// decision path.  En spelling throughout (`optimise`), matching
-/// `optimise_step_limit`; serve::PrepareOptions keeps the old mixed-spelling
-/// field as a deprecated alias.
+/// decision path — the one options struct: the serving layer
+/// (serve::ServiceOptions::prepare) and the Session
+/// (advisor::SessionOptions::plan) carry a PlanOptions rather than copies of
+/// its fields.
 struct PlanOptions {
   /// Machine the arrangement choice and simulated-units estimates target.
   umm::MachineConfig machine{.width = 32, .latency = 200};
@@ -76,16 +77,13 @@ struct PlanOptions {
   bool optimise = true;
   std::size_t optimise_step_limit = std::size_t{1} << 22;
 
-  /// Compile for the fused lane-tiled backend at plan-build time, so no run
-  /// ever pays the one-time stream drain (ignored when `backend` is
-  /// kInterpreted).  An over-budget compile falls back to the interpreter,
-  /// recorded in the provenance.
-  bool compile = true;
+  /// Requested lockstep engine.  kCompiled compiles for the fused
+  /// lane-tiled backend at plan-build time, so no run ever pays the one-time
+  /// stream drain; a program over compile_budget_steps falls back to the
+  /// interpreter, recorded in the provenance (see ExecutionPlan::backend()).
+  /// kInterpreted skips the compile.
+  exec::Backend backend = exec::Backend::kCompiled;
   std::size_t compile_budget_steps = exec::kDefaultCompileBudget;
-
-  /// Requested lockstep engine; the plan resolves kAuto / kCompiled to
-  /// whichever engine will actually run (see ExecutionPlan::backend()).
-  exec::Backend backend = exec::Backend::kAuto;
 
   /// Compiled lane-tile size; 0 = auto (fit the register tile in L1).
   std::size_t tile_lanes = 0;
@@ -177,11 +175,6 @@ struct PlanProvenance {
   /// True when the measuring tuner (not the simulated prior) picked the
   /// winner.
   bool tuned = false;
-  /// Simulated units at reference_lanes backing the arrangement choice —
-  /// the row/column entries of the candidate list, kept flat for
-  /// compatibility (both populated only when the choice was searched).
-  TimeUnits row_units = 0;
-  TimeUnits col_units = 0;
   std::size_t reference_lanes = 0;
 
   /// Tile size resolve_tile_lanes() picks at reference_lanes occupancy.
@@ -192,7 +185,7 @@ struct PlanProvenance {
   /// and its vector width in 64-bit words.  Part of the plan fingerprint:
   /// the tier changes which code runs and how tiles are rounded, even though
   /// results are bit-identical across tiers.  Executors built from this plan
-  /// are pinned to the recorded tier via host_options()/streaming_options().
+  /// are pinned to the recorded tier via host_options().
   SimdIsa simd = SimdIsa::kScalar;
   std::size_t simd_width = 1;
 
@@ -205,7 +198,7 @@ struct PlanProvenance {
   /// SIMD tier: a different pool shape means different code paths run even
   /// though results are bit-identical.  Per-run steal/park counts are
   /// runtime observations, not decisions — they live in
-  /// HostRunResult::sched / StreamingExecutor::Stats::sched.
+  /// HostRunResult::sched / StreamStats::sched.
   unsigned resolved_workers = 1;
   unsigned pool_workers = 1;
   bool pool_pinned = false;
@@ -231,7 +224,7 @@ class ExecutionPlan {
   std::size_t arrangement_param() const { return arrangement_param_; }
 
   /// Resolved engine: kCompiled when a compiled artifact exists, otherwise
-  /// kInterpreted.  Never kAuto — the plan already decided.
+  /// kInterpreted (requested, or the compile was over budget).
   exec::Backend backend() const { return backend_; }
 
   /// Non-null iff backend() is kCompiled.
@@ -277,12 +270,10 @@ class ExecutionPlan {
   /// Layout of a bulk run at the given occupancy under the chosen arrangement.
   bulk::Layout layout(std::size_t lanes) const;
 
-  /// The executor option structs this plan stands for, sized for runs of
-  /// `lanes` (resident) lanes.  Exists so the pre-plan Options surface keeps
-  /// working; prefer the plan-driven executor constructors or plan::run /
+  /// The executor options this plan stands for, sized for runs of `lanes`
+  /// lanes; prefer the plan-driven executor constructor or plan::run /
   /// plan::run_streaming.
   bulk::HostBulkExecutor::Options host_options(std::size_t lanes) const;
-  bulk::StreamingExecutor::Options streaming_options(std::size_t max_resident_lanes) const;
 
   /// Human- and diff-friendly description of decisions + provenance +
   /// estimated units (the `obx_cli plan` output; golden-tested, so the text
@@ -313,9 +304,23 @@ class ExecutionPlan {
 bulk::HostRunResult run(const ExecutionPlan& plan, std::span<const Word> inputs,
                         std::size_t p, std::vector<Word>* outputs = nullptr);
 
-/// Plan-driven streaming run: plan.program() over p callback-fed lanes in
-/// resident batches of at most max_resident_lanes.
-bulk::StreamingExecutor::Stats run_streaming(
+/// What one run_streaming call did.
+struct StreamStats {
+  std::size_t batches = 0;
+  std::size_t lanes = 0;
+  double execute_seconds = 0.0;   ///< engine time: layout, lockstep run, gather
+  double callback_seconds = 0.0;  ///< time spent inside fill_input/consume_output
+  bulk::SchedulerStats sched;     ///< CorePool work summed over the batches
+};
+
+/// Plan-driven memory-bounded run: plan.program() over p callback-fed lanes
+/// in resident batches of at most max_resident_lanes, so peak memory is
+/// O(max_resident_lanes · n) whatever p is (figure-scale lane counts cannot
+/// be materialised as one p·n array).  fill_input(j, dst) must write lane
+/// j's input_words into dst; consume_output(j, out) receives lane j's output
+/// region.  Callbacks run on the calling thread, in lane order.  Results are
+/// bit-identical to one monolithic run.
+StreamStats run_streaming(
     const ExecutionPlan& plan, std::size_t p, std::size_t max_resident_lanes,
     const std::function<void(Lane, std::span<Word>)>& fill_input,
     const std::function<void(Lane, std::span<const Word>)>& consume_output);

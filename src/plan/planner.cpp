@@ -81,8 +81,6 @@ std::uint64_t plan_fingerprint(const ExecutionPlan& plan) {
   mix(pv.pool_workers);
   mix(pv.pool_pinned ? 1 : 0);
   mix(pv.resolved_tile_lanes);
-  mix(static_cast<std::uint64_t>(pv.row_units));
-  mix(static_cast<std::uint64_t>(pv.col_units));
   mix(plan.arrangement_param());
   mix(pv.tuned ? 1 : 0);
   mix(static_cast<std::uint64_t>(pv.margin_units));
@@ -135,7 +133,7 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
   //    slot; an over-budget stream is a recorded interpreter fallback.  The
   //    step profile already says whether the stream fits, so an over-budget
   //    one is never drained and fused just to be thrown away.
-  if (options_.compile && options_.backend != exec::Backend::kInterpreted) {
+  if (options_.backend != exec::Backend::kInterpreted) {
     pv.compile_attempted = true;
     if (pv.after.total() <= options_.compile_budget_steps) {
       plan->compiled_ = exec::CompiledProgram::get_or_compile(
@@ -180,9 +178,6 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
           simulate(plan->program_, options_.reference_lanes, arr, c.param, options_.machine);
       pv.candidates.push_back(c);
     }
-    pv.col_units = pv.candidates[0].sim_units;
-    pv.row_units = pv.candidates[1].sim_units;
-
     std::size_t best = 0;
     for (std::size_t i = 1; i < pv.candidates.size(); ++i) {
       if (pv.candidates[i].sim_units < pv.candidates[best].sim_units) best = i;

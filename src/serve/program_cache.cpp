@@ -4,19 +4,6 @@
 
 namespace obx::serve {
 
-plan::PlanOptions PrepareOptions::plan_options() const {
-  plan::PlanOptions po;
-  po.machine = machine;
-  po.reference_lanes = reference_lanes;
-  po.optimise = optimize.value_or(optimise);
-  po.optimise_step_limit = optimise_step_limit;
-  po.compile = compile;
-  po.compile_budget_steps = compile_budget_steps;
-  po.workers = workers;
-  po.tune = tune;
-  return po;
-}
-
 PreparedProgram::PreparedProgram(std::shared_ptr<const plan::ExecutionPlan> plan)
     : plan_(std::move(plan)) {
   OBX_CHECK(plan_ != nullptr, "prepared program needs a plan");

@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,46 +22,8 @@
 #include "exec/compiled_program.hpp"
 #include "plan/plan_cache.hpp"
 #include "trace/program.hpp"
-#include "umm/machine_config.hpp"
 
 namespace obx::serve {
-
-/// Serving-facing view of plan::PlanOptions (en spelling throughout,
-/// aligned with PlanOptions; the historical mixed-spelling `optimize` field
-/// survives as a deprecated alias).
-struct PrepareOptions {
-  /// Machine the arrangement choice and simulated-units estimates target.
-  umm::MachineConfig machine{.width = 32, .latency = 200};
-  /// Reference lane count for the arrangement decision (use the service's
-  /// max_batch_lanes: that is the occupancy the service is tuned for).
-  std::size_t reference_lanes = 256;
-  bool optimise = true;
-  std::size_t optimise_step_limit = std::size_t{1} << 22;
-  /// Compile the (optimised) program for the fused lane-tiled backend at
-  /// registration, so serving batches never pay the one-time stream drain and
-  /// each program id is compiled exactly once per process.
-  bool compile = true;
-  std::size_t compile_budget_steps = exec::kDefaultCompileBudget;
-  /// Host threads inside one batch's executor (the service maps its
-  /// workers_per_batch here; the pool supplies cross-batch parallelism).
-  unsigned workers = 1;
-
-  /// The measuring arrangement auto-tuner (plan::PlanOptions::TuneOptions):
-  /// when tune.measure is set, registration refines the simulated
-  /// arrangement prior with bounded real micro-measurements of each
-  /// candidate — registration gets slower by trials x candidates runs, every
-  /// batch afterwards runs on the measured winner.  tune.lanes defaults to
-  /// reference_lanes (the occupancy the service is tuned for).
-  plan::PlanOptions::TuneOptions tune{};
-
-  /// Deprecated alias for `optimise` (the pre-plan mixed en/em spelling that
-  /// clashed with `optimise_step_limit`).  When set it overrides `optimise`;
-  /// kept so downstream code compiles.  Will be removed.
-  std::optional<bool> optimize;
-
-  /// The canonical planning options this struct stands for.
-  plan::PlanOptions plan_options() const;
-};
 
 /// One registered program: a handle on its cached ExecutionPlan with the
 /// pre-plan accessor surface preserved.
@@ -101,8 +62,9 @@ class PreparedProgram {
 /// get() hands out stable references.
 class ProgramCache {
  public:
-  explicit ProgramCache(PrepareOptions options)
-      : options_(options), plans_(options.plan_options()) {}
+  /// `options` plan every program added (the service sets reference_lanes
+  /// to its max_batch_lanes: the occupancy it is tuned for).
+  explicit ProgramCache(const plan::PlanOptions& options) : plans_(options) {}
 
   /// Plans and stores `program` under `id`; throws if the id is taken.
   void add(const std::string& id, trace::Program program);
@@ -112,7 +74,6 @@ class ProgramCache {
   std::vector<std::string> ids() const;
 
  private:
-  PrepareOptions options_;
   plan::PlanCache plans_;
   mutable std::mutex mutex_;
   // unique_ptr so references stay valid across rehash/insert.

@@ -6,7 +6,7 @@
 #include <mutex>
 
 #include "common/check.hpp"
-#include "bulk/streaming_executor.hpp"
+#include "plan/plan.hpp"
 
 namespace obx::serve {
 
@@ -69,7 +69,6 @@ BulkService::BulkService(ServiceOptions options)
     : options_(options), batcher_(options.batcher), tenants_(options.default_quota) {
   OBX_CHECK(options_.executors > 0, "executor pool needs at least one worker");
   options_.prepare.reference_lanes = options_.batcher.max_batch_lanes;
-  options_.prepare.workers = options_.workers_per_batch;
   programs_ = std::make_unique<ProgramCache>(options_.prepare);
   queue_ = std::make_unique<AdmissionQueue>(options_.queue_capacity, options_.policy);
   batches_ = std::make_unique<BatchQueue>(options_.executors * 2);
@@ -273,26 +272,24 @@ void BulkService::execute(Batch&& batch) {
   const std::size_t lanes = batch.jobs.size();
   const Clock::time_point dispatched = Clock::now();
 
-  std::vector<std::vector<Word>> outputs(lanes);
+  const std::size_t in_words = prepared.input_words();
+  std::vector<Word> out;
   try {
     if (options_.before_execute) options_.before_execute(batch);
+    std::vector<Word> flat;
+    flat.reserve(lanes * in_words);
+    for (const Job& job : batch.jobs) {
+      const std::vector<Word>& in = job.input;
+      // Last line of defence behind submit-time validation and the
+      // batcher's (program, input length) group key: a mis-sized lane
+      // must fail loudly, never overrun the scatter buffer.
+      OBX_CHECK(in.size() == in_words,
+                "batched job input length does not match its program");
+      flat.insert(flat.end(), in.begin(), in.end());
+    }
     // Every engine decision (arrangement, backend, tile, workers) comes from
     // the plan built once at register_program() time.
-    const bulk::StreamingExecutor exec(prepared.plan(), lanes);
-    exec.run(
-        prepared.program(), lanes,
-        [&](Lane j, std::span<Word> dst) {
-          const std::vector<Word>& in = batch.jobs[j].input;
-          // Last line of defence behind submit-time validation and the
-          // batcher's (program, input length) group key: a mis-sized lane
-          // must fail loudly, never overrun the scatter buffer.
-          OBX_CHECK(in.size() == prepared.input_words(),
-                    "batched job input length does not match its program");
-          std::copy(in.begin(), in.end(), dst.begin());
-        },
-        [&](Lane j, std::span<const Word> out) {
-          outputs[j].assign(out.begin(), out.end());
-        });
+    plan::run(prepared.plan(), flat, lanes, &out);
   } catch (...) {
     const std::exception_ptr error = std::current_exception();
     metrics_.failed.fetch_add(batch.jobs.size(), std::memory_order_relaxed);
@@ -311,12 +308,14 @@ void BulkService::execute(Batch&& batch) {
     metrics_.batch_sim_units.record(prepared.units_for_lanes(lanes));
   }
 
+  const std::size_t out_words = prepared.output_words();
   for (std::size_t j = 0; j < lanes; ++j) {
     Job& job = batch.jobs[j];
     TenantCounters& tenant = metrics_.tenant(job.tenant);
     JobResult r;
     r.status = JobStatus::kCompleted;
-    r.output = std::move(outputs[j]);
+    const auto lane_out = out.begin() + static_cast<std::ptrdiff_t>(j * out_words);
+    r.output.assign(lane_out, lane_out + static_cast<std::ptrdiff_t>(out_words));
     r.queue_delay = dispatched - job.enqueue_time;
     r.latency = completed - job.enqueue_time;
     r.batch_lanes = lanes;

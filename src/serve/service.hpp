@@ -2,7 +2,7 @@
 //
 //   producers ──▶ quota gate ──▶ AdmissionQueue ──▶ Batcher ──▶ ExecutorPool ──▶ futures
 //                 (per-tenant     (bounded MPMC,      (group by    (N workers ×     / callbacks
-//                  token bucket)   per-priority        program,     StreamingExecutor)
+//                  token bucket)   per-priority        program,     plan::run)
 //                                  overflow policy)    flush on
 //                                                      size/delay/deadline)
 //
@@ -62,18 +62,17 @@ struct ServiceOptions {
   /// Executor pool size: batches in flight concurrently.  These threads
   /// only pipeline batches (gather inputs, resolve futures); the lane work
   /// itself runs on the shared bulk::CorePool, so executors ×
-  /// workers_per_batch cannot oversubscribe the host — every batch's tiles
+  /// prepare.workers cannot oversubscribe the host — every batch's tiles
   /// drain through the same per-core workers.
   unsigned executors = 2;
-  /// Parallelism target inside one batch's StreamingExecutor, passed to the
-  /// shared CorePool per run.  0 (default) = one consumer per pool worker;
-  /// 1 = run batches inline on their executor thread (the pre-pool
-  /// behaviour).  Batches below the fan-out crossover (bulk::kFanOutMinWork
-  /// lane-steps) run inline regardless: the plan sizes each run's workers.
-  unsigned workers_per_batch = 0;
-  /// Machine model + optimisation policy for per-program characterisation
-  /// (reference_lanes is overridden with batcher.max_batch_lanes).
-  PrepareOptions prepare;
+  /// How every registered program is planned: machine model, optimiser,
+  /// engine, and prepare.workers — the parallelism target inside one batch
+  /// (0, the default, = one consumer per pool worker; 1 = run batches inline
+  /// on their executor thread).  Batches below the fan-out crossover
+  /// (bulk::kFanOutMinWork lane-steps) run inline regardless: the plan sizes
+  /// each run's workers.  reference_lanes is overridden with
+  /// batcher.max_batch_lanes.
+  plan::PlanOptions prepare;
   /// Estimate simulated UMM units per executed batch (memoised per program
   /// and occupancy; adds one timing-estimator pass per distinct occupancy).
   bool record_simulated_units = true;

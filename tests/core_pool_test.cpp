@@ -357,10 +357,10 @@ TEST(CorePoolEquivalence, BitIdenticalAcrossWorkerCountsEverywhere) {
       for (const SimdIsa isa : tiers) {
         const HostBulkExecutor serial(
             layout, HostBulkExecutor::Options{
-                        .workers = 1, .backend = exec::Backend::kAuto, .simd = isa});
+                        .workers = 1, .backend = exec::Backend::kCompiled, .simd = isa});
         const HostBulkExecutor pooled(
             layout, HostBulkExecutor::Options{
-                        .workers = 4, .backend = exec::Backend::kAuto, .simd = isa});
+                        .workers = 4, .backend = exec::Backend::kCompiled, .simd = isa});
         const HostRunResult a = serial.run(program, inputs);
         const HostRunResult b = pooled.run(program, inputs);
         ASSERT_EQ(a.backend, b.backend);

@@ -112,9 +112,10 @@ TEST(HostExecutor, BlockedChunksAlignToBlocks) {
   EXPECT_EQ(multi.run(program, inputs).memory, single.run(program, inputs).memory);
 }
 
-// kAuto runs the compiled engine while the program fits the compile budget
-// and degrades to the interpreter once it does not, with identical results.
-TEST(HostExecutor, AutoBackendCompilesInBudgetAndFallsBackOverBudget) {
+// kCompiled runs the compiled engine while the program fits the compile
+// budget and degrades to the interpreter once it does not, with identical
+// results.
+TEST(HostExecutor, CompiledBackendCompilesInBudgetAndFallsBackOverBudget) {
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const std::size_t n = 16;
   const std::size_t p = 9;
@@ -124,13 +125,13 @@ TEST(HostExecutor, AutoBackendCompilesInBudgetAndFallsBackOverBudget) {
   const Layout layout = Layout::column_wise(p, program.memory_words);
 
   const HostRunResult fits =
-      HostBulkExecutor(layout, HostBulkExecutor::Options{.backend = exec::Backend::kAuto})
+      HostBulkExecutor(layout, HostBulkExecutor::Options{.backend = exec::Backend::kCompiled})
           .run(program, inputs);
   EXPECT_EQ(fits.backend, exec::Backend::kCompiled);
 
   program.exec_cache = std::make_shared<trace::ExecCacheSlot>();
   const HostRunResult over =
-      HostBulkExecutor(layout, HostBulkExecutor::Options{.backend = exec::Backend::kAuto,
+      HostBulkExecutor(layout, HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
                                                          .compile_budget_steps = 1})
           .run(program, inputs);
   EXPECT_EQ(over.backend, exec::Backend::kInterpreted);
@@ -156,7 +157,6 @@ TEST(HostExecutor, ReportsPerInputStepCounts) {
   const HostBulkExecutor exec(Layout::column_wise(p, program.memory_words));
   const HostRunResult run = exec.run(program, inputs);
   EXPECT_EQ(run.counts.memory(), 20u);
-  EXPECT_GE(run.seconds, 0.0);
 }
 
 TEST(RunBulk, ConvenienceApiMatchesArrangements) {

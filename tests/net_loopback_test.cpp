@@ -13,6 +13,7 @@
 #include "net/client.hpp"
 #include "net/load_gen.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 #include "serve/service.hpp"
 
 namespace {
@@ -150,6 +151,58 @@ TEST(NetLoopback, PipelinedOutOfOrderResponses) {
 
   server.stop();
   service.stop();
+}
+
+// One batch of large responses is written to its connection in one loop
+// pass (8 x 32 KiB here).  Once the connection has nothing in flight, its
+// write buffer must give that burst's capacity back instead of keeping the
+// high-water mark for as long as the client stays connected.
+TEST(NetLoopback, IdleConnectionReleasesItsBurstWriteBuffer) {
+  const algos::Algorithm& algo = algos::find("prefix-sums");
+  constexpr std::size_t kN = 4096;  // 32 KiB of output words per response
+  constexpr std::size_t kLanes = 8;
+  serve::ServiceOptions options;
+  options.batcher.max_batch_lanes = kLanes;
+  options.batcher.max_batch_delay = 10s;  // flush on size: one 8-lane batch
+  options.executors = 1;
+  serve::BulkService service(options);
+  service.register_program("ps", algo.make_program(kN));
+  net::Server server(service, net::ServerOptions{});
+
+  Rng rng(17);
+  net::Client client(server.host(), server.port());
+  ASSERT_TRUE(client.connected());
+  std::vector<std::uint32_t> ids;
+  std::vector<std::vector<Word>> expected;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    std::vector<Word> input = algo.make_input(kN, rng);
+    expected.push_back(algo.reference(kN, input));
+    const auto id = client.submit_async("ps", std::move(input));
+    ASSERT_TRUE(id.has_value());
+    ids.push_back(*id);
+  }
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    const net::Client::Result r = client.wait(ids[i]);
+    ASSERT_TRUE(r.ok()) << r.transport_error << " " << r.error;
+    EXPECT_EQ(r.batch_lanes, kLanes);
+    EXPECT_EQ(r.output, expected[i]);
+  }
+
+  // The last bytes reach the client just before the loop releases the
+  // buffer; give the loop a moment, with the connection still open.
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (server.stats().write_buffer_bytes > net::kReadChunkBytes &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const net::ServerStatsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.connections_active, 1u);
+  EXPECT_LE(stats.write_buffer_bytes, net::kReadChunkBytes);
+  EXPECT_NE(server.scrape_metrics().find("obx_net_write_buffer_bytes"), std::string::npos);
+
+  server.stop();
+  service.stop();
+  EXPECT_EQ(server.stats().write_buffer_bytes, 0u) << "closed connections hold no buffer";
 }
 
 TEST(NetLoopback, UnknownProgramAndBadInputGetErrorFrames) {

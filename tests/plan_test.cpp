@@ -14,12 +14,11 @@
 #include "bulk/core_pool.hpp"
 #include "bulk/host_executor.hpp"
 #include "bulk/layout.hpp"
-#include "bulk/streaming_executor.hpp"
 #include "common/rng.hpp"
 #include "exec/backend.hpp"
 #include "plan/plan_cache.hpp"
 #include "plan/planner.hpp"
-#include "serve/program_cache.hpp"
+#include "serve/service.hpp"
 #include "trace/interpreter.hpp"
 
 namespace {
@@ -108,9 +107,6 @@ TEST(PlanOptionsTest, FingerprintIsDeterministicAndKnobSensitive) {
   o.optimise = false;
   EXPECT_NE(o.fingerprint(), base.fingerprint());
   o = base;
-  o.compile = false;
-  EXPECT_NE(o.fingerprint(), base.fingerprint());
-  o = base;
   o.tile_lanes = 32;
   EXPECT_NE(o.fingerprint(), base.fingerprint());
   o = base;
@@ -129,15 +125,12 @@ TEST(PlanOptionsTest, FingerprintIsDeterministicAndKnobSensitive) {
 // key the plan cache separately.
 TEST(PlanOptionsTest, FingerprintSeparatesEnginesAndBudgets) {
   plan::PlanOptions o;
-  o.backend = exec::Backend::kAuto;
-  const auto auto_fp = o.fingerprint();
+  EXPECT_EQ(o.backend, exec::Backend::kCompiled);
+  const auto compiled_fp = o.fingerprint();
   o.backend = exec::Backend::kInterpreted;
   const auto interp_fp = o.fingerprint();
-  o.backend = exec::Backend::kCompiled;
-  const auto compiled_fp = o.fingerprint();
-  EXPECT_NE(auto_fp, interp_fp);
-  EXPECT_NE(auto_fp, compiled_fp);
   EXPECT_NE(interp_fp, compiled_fp);
+  o.backend = exec::Backend::kCompiled;
   o.compile_budget_steps += 1;
   EXPECT_NE(o.fingerprint(), compiled_fp);
 }
@@ -194,10 +187,10 @@ TEST(PlannerTest, ForcedArrangementSkipsSimulationChoice) {
   EXPECT_TRUE(plan->provenance().arrangement_forced);
 }
 
-TEST(PlannerTest, ResolvedBackendIsNeverAuto) {
+TEST(PlannerTest, DefaultBackendCompilesWhenTheProgramFits) {
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const auto compiled = plan::build_plan(algo.make_program(64), plan::PlanOptions{});
-  // kAuto resolves to the compiled backend — never to kAuto itself.
+  // The default request (kCompiled) runs compiled while the program fits.
   EXPECT_EQ(compiled->backend(), exec::Backend::kCompiled);
   ASSERT_NE(compiled->compiled(), nullptr);
   EXPECT_GT(compiled->provenance().compiled_segments, 0u);
@@ -318,9 +311,9 @@ TEST(PlannerTest, SkippedCompileLeavesTheMemoFreeForALargerBudget) {
   EXPECT_EQ(drains->load(), after_fit);  // memo hit, no re-drain
 }
 
-// An explicitly requested compiled backend that is over budget falls back
-// exactly like kAuto, and drains the stream no more often than a plan that
-// asked for the interpreter outright.
+// A compiled backend request that is over budget falls back to the
+// interpreter, and drains the stream no more often than a plan that asked
+// for the interpreter outright.
 TEST(PlannerTest, ExplicitCompiledBackendOverBudgetDrainsLikeTheInterpreter) {
   constexpr std::size_t kSteps = kCountingWords * 3;
   plan::PlanOptions options;
@@ -353,9 +346,12 @@ TEST(PlannerTest, UnitsMemoMatchesFreshSimulation) {
   const TimeUnits at_ref = plan->units_for_lanes(options.reference_lanes);
   EXPECT_EQ(at_ref, plan->units_for_lanes(options.reference_lanes));
   EXPECT_GT(plan->units_for_lanes(1024), 0u);
-  const TimeUnits chosen = std::min(plan->provenance().row_units,
-                                    plan->provenance().col_units);
-  EXPECT_EQ(at_ref, chosen);
+  const auto& candidates = plan->provenance().candidates;
+  const auto chosen = std::find_if(candidates.begin(), candidates.end(),
+                                   [](const plan::ArrangementCandidate& c) { return c.chosen; });
+  ASSERT_NE(chosen, candidates.end());
+  EXPECT_EQ(at_ref, chosen->sim_units);
+  for (const plan::ArrangementCandidate& c : candidates) EXPECT_LE(at_ref, c.sim_units);
 }
 
 TEST(PlannerTest, ResidentLanesForBudgetClampsToLanes) {
@@ -526,12 +522,9 @@ TEST(PlanEquivalenceTest, PlanConstructedExecutorsMatchPlanRun) {
   EXPECT_EQ(run.backend, plan->backend());
   EXPECT_EQ(host.gather_outputs(plan->program(), run.memory), expected);
 
-  const bulk::StreamingExecutor streaming(*plan, /*max_resident_lanes=*/4);
-  EXPECT_EQ(streaming.options().arrangement, plan->arrangement());
-  EXPECT_EQ(streaming.options().max_resident_lanes, 4u);
   std::vector<Word> streamed(expected.size(), Word{0});
-  streaming.run(
-      plan->program(), p,
+  const plan::StreamStats stats = plan::run_streaming(
+      *plan, p, /*max_resident_lanes=*/4,
       [&](Lane j, std::span<Word> dst) {
         const std::size_t w = plan->input_words();
         std::copy_n(inputs.begin() + static_cast<std::ptrdiff_t>(j * w), w, dst.begin());
@@ -540,11 +533,9 @@ TEST(PlanEquivalenceTest, PlanConstructedExecutorsMatchPlanRun) {
         std::copy(out.begin(), out.end(),
                   streamed.begin() + static_cast<std::ptrdiff_t>(j * plan->output_words()));
       });
+  EXPECT_EQ(stats.batches, 2u);  // ceil(6 / 4)
   EXPECT_EQ(streamed, expected);
 }
-
-// ---------------------------------------------------------------------------
-// serve::PrepareOptions compatibility shim.
 
 /// The fan-out crossover (bulk::kFanOutMinWork) both ways: a serving-sized
 /// run stays on its calling thread, a paper-scale run still fans out.
@@ -573,37 +564,27 @@ TEST(PlanFanOutTest, SmallRunsStayInlineAndPaperScaleRunsFanOut) {
   EXPECT_GT(fanned.sched.tasks, 1u) << "a paper-scale run must still fan out";
 }
 
-TEST(PrepareOptionsTest, EnSpellingIsCanonicalAndAliasStillWorks) {
-  serve::PrepareOptions po;
-  EXPECT_TRUE(po.optimise);
-  EXPECT_FALSE(po.optimize.has_value());
-  EXPECT_TRUE(po.plan_options().optimise);
-
-  po.optimise = false;
-  EXPECT_FALSE(po.plan_options().optimise);
-
-  // The deprecated mixed-spelling alias overrides when set.
-  po.optimise = true;
-  po.optimize = false;
-  EXPECT_FALSE(po.plan_options().optimise);
-  po.optimize = true;
-  po.optimise = false;
-  EXPECT_TRUE(po.plan_options().optimise);
-}
-
-TEST(PrepareOptionsTest, MapsOntoPlanOptions) {
-  serve::PrepareOptions po;
-  po.machine.width = 64;
-  po.reference_lanes = 1024;
-  po.optimise_step_limit = 99;
-  po.compile = false;
-  po.workers = 3;
-  const plan::PlanOptions mapped = po.plan_options();
-  EXPECT_EQ(mapped.machine.width, 64u);
-  EXPECT_EQ(mapped.reference_lanes, 1024u);
-  EXPECT_EQ(mapped.optimise_step_limit, 99u);
-  EXPECT_FALSE(mapped.compile);
-  EXPECT_EQ(mapped.workers, 3u);
+// The service plans every program with its own PlanOptions, at the
+// occupancy it batches to: reference_lanes follows batcher.max_batch_lanes,
+// every other knob passes through unchanged.
+TEST(ServicePlanOptionsTest, PlansAtMaxBatchLanes) {
+  serve::ServiceOptions options;
+  options.batcher.max_batch_lanes = 1024;
+  options.executors = 1;
+  options.prepare.machine.width = 64;
+  options.prepare.optimise_step_limit = 99;
+  options.prepare.backend = exec::Backend::kInterpreted;
+  options.prepare.workers = 3;
+  serve::BulkService service(options);
+  service.register_program("ps", algos::find("prefix-sums").make_program(64));
+  const plan::ExecutionPlan& plan = service.programs().get("ps").plan();
+  EXPECT_EQ(plan.options().reference_lanes, 1024u);
+  EXPECT_EQ(plan.provenance().reference_lanes, 1024u);
+  EXPECT_EQ(plan.options().machine.width, 64u);
+  EXPECT_EQ(plan.options().optimise_step_limit, 99u);
+  EXPECT_EQ(plan.backend(), exec::Backend::kInterpreted);
+  EXPECT_EQ(plan.workers(), 3u);
+  service.stop();
 }
 
 }  // namespace

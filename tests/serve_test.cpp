@@ -15,8 +15,8 @@
 #include "algos/algorithm.hpp"
 #include "bulk/bulk.hpp"
 #include "bulk/core_pool.hpp"
-#include "bulk/streaming_executor.hpp"
 #include "common/rng.hpp"
+#include "plan/plan.hpp"
 #include "serve/admission_queue.hpp"
 #include "serve/batcher.hpp"
 #include "serve/load_gen.hpp"
@@ -585,7 +585,7 @@ TEST(LoadGen, ClosedLoopCompletesEveryJob) {
   service.stop();
 }
 
-// PrepareOptions carries the planner's measuring auto-tuner: with tune off,
+// The prepare options carry the planner's measuring auto-tuner: with tune off,
 // registration under the conflict-heavy machine picks the conflict-free
 // arrangement on the simulated prior; a tuned prepare with a scripted clock
 // that makes row-wise fastest must change the chosen arrangement.
@@ -593,7 +593,7 @@ TEST(ProgramCacheTest, TunedPrepareChangesChosenArrangement) {
   const algos::Algorithm& algo = algos::find("bitonic-sort");
   const std::size_t n = 64;
 
-  PrepareOptions untuned;
+  plan::PlanOptions untuned;
   untuned.machine = umm::conflict_heavy_example();
   untuned.reference_lanes = 64;
   ProgramCache cache(untuned);
@@ -601,7 +601,7 @@ TEST(ProgramCacheTest, TunedPrepareChangesChosenArrangement) {
   EXPECT_EQ(cache.get("sort").arrangement(), bulk::Arrangement::kConflictFree);
   EXPECT_FALSE(cache.get("sort").plan().provenance().tuned);
 
-  PrepareOptions tuned = untuned;
+  plan::PlanOptions tuned = untuned;
   tuned.tune.measure = true;
   tuned.tune.trials = 2;
   // Candidate order is column, row, blocked, conflict-free; each candidate
@@ -637,14 +637,14 @@ TEST(BulkService, SmallServingBatchRunsWholeOnItsExecutorThread) {
   service.register_program("ps", algo.make_program(kN));
   const PreparedProgram& prepared = service.programs().get("ps");
 
-  // The executor BulkService::execute builds for such a batch.
-  const bulk::StreamingExecutor exec(prepared.plan(), kLanes);
-  const bulk::StreamingExecutor::Stats stats = exec.run(
-      prepared.program(), kLanes, [](Lane, std::span<Word> dst) { std::fill(dst.begin(), dst.end(), 1); },
-      [](Lane, std::span<const Word>) {});
-  EXPECT_EQ(stats.sched.tasks, 1u);
-  EXPECT_EQ(stats.sched.steals, 0u);
-  EXPECT_EQ(stats.sched.parks, 0u);
+  // The call BulkService::execute makes for such a batch.
+  const std::vector<Word> ones(kLanes * prepared.input_words(), Word{1});
+  std::vector<Word> out;
+  const bulk::HostRunResult run = plan::run(prepared.plan(), ones, kLanes, &out);
+  EXPECT_EQ(out.size(), kLanes * prepared.output_words());
+  EXPECT_EQ(run.sched.tasks, 1u);
+  EXPECT_EQ(run.sched.steals, 0u);
+  EXPECT_EQ(run.sched.parks, 0u);
 
   const bulk::CorePool::CountersSnapshot before = bulk::CorePool::instance().counters();
   Rng rng(64);

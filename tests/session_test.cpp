@@ -6,7 +6,9 @@
 
 #include "advisor/session.hpp"
 #include "algos/algorithm.hpp"
+#include "bulk/core_pool.hpp"
 #include "common/rng.hpp"
+#include "plan/planner.hpp"
 #include "trace/recorder.hpp"
 
 namespace {
@@ -63,8 +65,12 @@ TEST(Session, ProducesCorrectOutputsWithDefaults) {
 }
 
 TEST(Session, DefaultWorkersUseTheHostCores) {
-  EXPECT_EQ(SessionOptions{}.workers, bulk::default_worker_count());
-  EXPECT_GE(SessionOptions{}.workers, 1u);
+  // Workers stay on auto, which the planner resolves to the host's cores.
+  const SessionOptions defaults;
+  EXPECT_EQ(defaults.plan.workers, 0u);
+  const auto plan = plan::build_plan(algos::find("horner").make_program(8), defaults.plan);
+  EXPECT_EQ(plan->workers(), bulk::default_worker_count());
+  EXPECT_GE(plan->workers(), 1u);
 }
 
 TEST(Session, MemoryBudgetControlsBatching) {
@@ -94,7 +100,7 @@ TEST(Session, TinyBudgetStillRunsOneLaneBatches) {
 TEST(Session, ForcedArrangementHonoured) {
   const Harness h("prefix-sums", 16, 20);
   SessionOptions options;
-  options.arrangement = bulk::Arrangement::kRowWise;
+  options.plan.arrangement = bulk::Arrangement::kRowWise;
   std::vector<Word> got;
   const SessionReport report = h.run(Session(options), got);
   EXPECT_EQ(got, h.expected);
@@ -134,7 +140,7 @@ TEST(Session, OptimiserEngagesOnNaiveCode) {
 TEST(Session, OptimiserCanBeDisabled) {
   const Harness h("prefix-sums", 16, 4);
   SessionOptions options;
-  options.optimize = false;
+  options.plan.optimise = false;
   std::vector<Word> got;
   const SessionReport report = h.run(Session(options), got);
   EXPECT_FALSE(report.optimised);

@@ -153,7 +153,7 @@ int cmd_plan(const cli::Args& args) {
   apply_shared_tier(args, options.machine);
   options.reference_lanes = static_cast<std::size_t>(args.get_int("p", 256));
   if (args.get_bool("no-optimise")) options.optimise = false;
-  if (args.get_bool("no-compile")) options.compile = false;
+  if (args.get_bool("no-compile")) options.backend = exec::Backend::kInterpreted;
   if (args.has("arrangement")) options.arrangement = arrangement_from(args);
   options.arrangement_param =
       static_cast<std::size_t>(args.get_int("arrangement-param", 0));
