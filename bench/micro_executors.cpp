@@ -61,12 +61,9 @@ BENCHMARK(BM_BulkAlu)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 void BM_HostExecutor(benchmark::State& state) {
   const std::size_t n = 64;
   const std::size_t p = static_cast<std::size_t>(state.range(0));
-  const bool column = state.range(1) != 0;
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
-  const bulk::Layout layout = column ? bulk::Layout::column_wise(p, n)
-                                     : bulk::Layout::row_wise(p, n);
-  const bulk::HostBulkExecutor exec(layout);
+  const bulk::HostBulkExecutor exec(p);
   for (auto _ : state) {
     auto run = exec.run(program, inputs);
     benchmark::DoNotOptimize(run.memory.data());
@@ -74,13 +71,8 @@ void BM_HostExecutor(benchmark::State& state) {
   // lane-steps per second.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p * program.profile().total()));
-  state.SetLabel(layout.name());
 }
-BENCHMARK(BM_HostExecutor)
-    ->Args({1 << 10, 0})
-    ->Args({1 << 10, 1})
-    ->Args({1 << 14, 0})
-    ->Args({1 << 14, 1});
+BENCHMARK(BM_HostExecutor)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_Fig11Backend(benchmark::State& state) {
   // The acceptance workload: Fig. 11 prefix sums at n = 1024, p = 4096 on a
@@ -93,8 +85,7 @@ void BM_Fig11Backend(benchmark::State& state) {
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
   const bulk::HostBulkExecutor executor(
-      bulk::Layout::column_wise(p, n),
-      bulk::HostBulkExecutor::Options{.workers = 1, .backend = backend});
+      p, bulk::HostBulkExecutor::Options{.workers = 1, .backend = backend});
   exec::Backend resolved = backend;
   for (auto _ : state) {
     auto run = executor.run(program, inputs);
@@ -123,9 +114,8 @@ void BM_Fig11BackendScaling(benchmark::State& state) {
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
   const bulk::HostBulkExecutor executor(
-      bulk::Layout::column_wise(p, n),
-      bulk::HostBulkExecutor::Options{.workers = workers,
-                                      .backend = exec::Backend::kCompiled});
+      p, bulk::HostBulkExecutor::Options{.workers = workers,
+                                         .backend = exec::Backend::kCompiled});
   bulk::SchedulerStats sched;
   for (auto _ : state) {
     auto run = executor.run(program, inputs);
@@ -168,9 +158,8 @@ void BM_SimdVsScalar(benchmark::State& state) {
     inputs.insert(inputs.end(), one.begin(), one.end());
   }
   const bulk::HostBulkExecutor executor(
-      bulk::Layout::column_wise(p, program.memory_words),
-      bulk::HostBulkExecutor::Options{
-          .workers = 1, .backend = exec::Backend::kCompiled, .simd = isa});
+      p, bulk::HostBulkExecutor::Options{
+             .workers = 1, .backend = exec::Backend::kCompiled, .simd = isa});
   for (auto _ : state) {
     auto run = executor.run(program, inputs);
     benchmark::DoNotOptimize(run.memory.data());
@@ -297,7 +286,6 @@ void BM_RunStreaming(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   plan::PlanOptions options;
   options.workers = 1;
-  options.arrangement = bulk::Arrangement::kColumnWise;
   const auto plan = plan::build_plan(algos::prefix_sums_program(n), options);
   const trace::Program& program = plan->program();
   const std::vector<Word> inputs = make_inputs(n, p);
@@ -319,8 +307,7 @@ BENCHMARK(BM_RunStreaming)->Arg(1 << 8)->Arg(1 << 12);
 
 void BM_AlgosSuite(benchmark::State& state) {
   // The whole registry as one serving-shaped scenario sweep: every algorithm
-  // at its largest test size <= 64, compiled backend, column-wise, one
-  // worker.  One iteration = one pass over every scenario, so time/iter is
+  // at its largest test size <= 64, compiled backend, one worker.  One iteration = one pass over every scenario, so time/iter is
   // "cost of the full workload family" and the counters make the suite's
   // breadth a tracked metric — `algorithms` is the registry size and
   // `scenarios` the number of (algorithm, n) pairs executed; CI's bench-smoke
@@ -348,9 +335,8 @@ void BM_AlgosSuite(benchmark::State& state) {
       inputs.insert(inputs.end(), one.begin(), one.end());
     }
     bulk::HostBulkExecutor executor(
-        bulk::Layout::column_wise(p, program.memory_words),
-        bulk::HostBulkExecutor::Options{.workers = 1,
-                                        .backend = exec::Backend::kCompiled});
+        p, bulk::HostBulkExecutor::Options{.workers = 1,
+                                           .backend = exec::Backend::kCompiled});
     scenarios.push_back(Scenario{&algo, std::move(program), std::move(inputs),
                                  std::move(executor)});
   }

@@ -40,8 +40,7 @@ int main() {
   }
 
   // 2. Bulk-encrypt.
-  const bulk::BulkOutputs cipher =
-      bulk::run_bulk(program, inputs, p, bulk::Arrangement::kColumnWise);
+  const bulk::BulkOutputs cipher = bulk::run_bulk(program, inputs, p);
 
   // 3. Verify a sample of lanes against the native cipher, then decrypt one
   //    message end-to-end.

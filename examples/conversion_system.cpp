@@ -5,7 +5,7 @@
 // A user writes a *new* sequential algorithm — here, second-order exponential
 // smoothing of a time series — against the Recorder's value handles.  The
 // recording is automatically an oblivious program: it is checked, profiled,
-// bulk-executed on both arrangements, and timed on the simulated UMM, with
+// bulk-executed, and timed on the simulated UMM in both arrangements, with
 // zero algorithm-specific parallel code.
 #include <cstdio>
 #include <vector>
@@ -66,8 +66,7 @@ int main() {
     const auto series = rng.words_f64(n, 0.0, 100.0);
     inputs.insert(inputs.end(), series.begin(), series.end());
   }
-  const bulk::BulkOutputs out =
-      bulk::run_bulk(program, inputs, p, bulk::Arrangement::kColumnWise);
+  const bulk::BulkOutputs out = bulk::run_bulk(program, inputs, p);
 
   for (std::size_t j = 0; j < p; j += 63) {
     double level = trace::as_f64(inputs[j * n]);

@@ -37,8 +37,7 @@ int main() {
   }
 
   // 3. Bulk-execute on the host (functional results).
-  const bulk::BulkOutputs outputs =
-      bulk::run_bulk(program, inputs, p, bulk::Arrangement::kColumnWise);
+  const bulk::BulkOutputs outputs = bulk::run_bulk(program, inputs, p);
 
   // 4. Verify a few lanes against the native sequential algorithm.
   std::size_t verified = 0;

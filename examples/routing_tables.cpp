@@ -34,8 +34,7 @@ int main() {
   }
 
   // 2. Bulk all-pairs shortest paths.
-  const bulk::BulkOutputs tables =
-      bulk::run_bulk(program, inputs, p, bulk::Arrangement::kColumnWise);
+  const bulk::BulkOutputs tables = bulk::run_bulk(program, inputs, p);
 
   // 3. Validate metric properties on every region.
   std::size_t reachable_pairs = 0, total_pairs = 0;

@@ -57,8 +57,7 @@ int main() {
   }
 
   // 3. Bulk-execute the FFT over all 512 blocks in lockstep.
-  const bulk::BulkOutputs spectra =
-      bulk::run_bulk(program, inputs, p, bulk::Arrangement::kColumnWise);
+  const bulk::BulkOutputs spectra = bulk::run_bulk(program, inputs, p);
 
   // 4. Detect bursts: a block is "hot" in bin k if |X_k| is large.
   std::printf("spectrogram scan over %zu blocks x %zu samples:\n", p, n);

@@ -38,8 +38,7 @@ int main() {
   }
 
   // 2. Bulk-sort all windows.
-  const bulk::BulkOutputs sorted =
-      bulk::run_bulk(program, inputs, p, bulk::Arrangement::kColumnWise);
+  const bulk::BulkOutputs sorted = bulk::run_bulk(program, inputs, p);
 
   // 3. Validate (sortedness + permutation) and extract robust statistics.
   std::size_t spiky_windows = 0;

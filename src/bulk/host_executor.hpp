@@ -3,9 +3,13 @@
 // This is the functional analogue of the paper's CUDA kernels: every step of
 // the oblivious program is applied across all p lanes before the next step
 // begins (per worker chunk), with a register file stored lane-major
-// (structure-of-arrays) so ALU steps and column-wise memory steps run over
-// contiguous memory and vectorise.  Results are bit-identical to running the
-// scalar interpreter p times.
+// (structure-of-arrays) so ALU steps and memory steps run over contiguous
+// memory and vectorise.  The memory image is always column-wise — the
+// Theorem 3 time-optimal arrangement, and the one whose per-step accesses
+// are contiguous on the host too.  The other arrangements are a GPU effect
+// (address groups, shared-memory banks) and live in the UMM/DMM model:
+// UmmBulkExecutor, TimingEstimator and the planner's simulated search.
+// Results are bit-identical to running the scalar interpreter p times.
 #pragma once
 
 #include <optional>
@@ -16,7 +20,6 @@
 #include "common/simd_isa.hpp"
 #include "common/types.hpp"
 #include "bulk/core_pool.hpp"
-#include "bulk/layout.hpp"
 #include "exec/backend.hpp"
 #include "trace/program.hpp"
 
@@ -27,9 +30,10 @@ class ExecutionPlan;
 namespace obx::bulk {
 
 struct HostRunResult {
-  /// Final arranged global memory (p·n words), 64-byte aligned for the
-  /// vectorized kernels.  Compares equal to a plain std::vector<Word> with
-  /// the same contents (see common/aligned.hpp).
+  /// Final column-wise global memory (p·n words: word a of lane j at
+  /// memory[a·p + j]), 64-byte aligned for the vectorized kernels.  Compares
+  /// equal to a plain std::vector<Word> with the same contents (see
+  /// common/aligned.hpp).
   aligned_vector<Word> memory;
   trace::StepCounts counts;   ///< steps in one program stream (per input)
   /// Engine that actually ran: kCompiled when the fused lane-tiled backend
@@ -74,20 +78,22 @@ class HostBulkExecutor {
     std::optional<SimdIsa> simd{};
   };
 
-  explicit HostBulkExecutor(Layout layout);
-  HostBulkExecutor(Layout layout, Options options);
+  /// An executor for bulk runs of `lanes` lanes.
+  explicit HostBulkExecutor(std::size_t lanes);
+  HostBulkExecutor(std::size_t lanes, Options options);
 
-  /// Plan-driven construction: arrangement, backend, tile size, compile
-  /// budget and worker count all come from the plan, sized for `lanes`
-  /// lanes.  run() must be given plan.program() (the plan's optimised
+  /// Plan-driven construction: backend, tile size, compile budget and
+  /// worker count all come from the plan, sized for `lanes` lanes.  The
+  /// plan's arrangement is the model's choice and does not change the host
+  /// memory image.  run() must be given plan.program() (the plan's optimised
   /// program) — or use plan::run(), which cannot get the pairing wrong.
   /// Defined in src/plan/plan.cpp (bulk/ sits below plan/ and must not link
   /// upward): link obx_plan (or obx::obx).
   HostBulkExecutor(const plan::ExecutionPlan& plan, std::size_t lanes);
 
-  /// Runs `program` on p inputs given lane-major flat: input j occupies
-  /// inputs[j*program.input_words ... ).  Requires program.memory_words ==
-  /// layout.words_per_input() and inputs.size() == p * program.input_words.
+  /// Runs `program` on p = lanes() inputs given lane-major flat: input j
+  /// occupies inputs[j*program.input_words ... ).  Requires inputs.size() ==
+  /// p * program.input_words.
   /// The program's stream factory must be safe to invoke concurrently.
   HostRunResult run(const trace::Program& program, std::span<const Word> inputs) const;
 
@@ -101,13 +107,13 @@ class HostBulkExecutor {
   void gather_outputs(const trace::Program& program, std::span<const Word> memory,
                       std::vector<Word>& out) const;
 
-  const Layout& layout() const { return layout_; }
+  std::size_t lanes() const { return lanes_; }
 
  private:
   void run_chunk(const trace::Program& program, std::span<Word> memory, Lane lane_begin,
                  Lane lane_end, trace::StepCounts* counts) const;
 
-  Layout layout_;
+  std::size_t lanes_;
   Options options_;
 };
 

@@ -5,6 +5,7 @@
 #include "common/check.hpp"
 #include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
+#include "bulk/umm_executor.hpp"
 #include "plan/planner.hpp"
 #include "trace/interpreter.hpp"
 
@@ -49,9 +50,30 @@ std::vector<std::size_t> blocked_blocks(std::size_t p) {
   return blocks;
 }
 
-bulk::Layout layout_for(const trace::Program& program, std::size_t p,
-                        const ExecConfig& config) {
-  return bulk::make_layout(program, p, config.arrangement, config.block);
+/// First word where a run's memory image disagrees with the oracle's
+/// lane-major images; `global(i, j)` maps canonical word i of lane j into
+/// the run's image.
+template <typename Global>
+std::optional<Divergence> first_divergence(std::span<const Word> memory,
+                                           std::span<const Word> oracle, std::size_t p,
+                                           std::size_t n, const std::string& config,
+                                           Global global) {
+  for (std::size_t j = 0; j < p; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const Word got = memory[global(i, j)];
+      const Word expected = oracle[j * n + i];
+      if (got != expected) {
+        Divergence d;
+        d.config = config;
+        d.lane = j;
+        d.word = i;
+        d.expected = expected;
+        d.got = got;
+        return d;
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -59,18 +81,21 @@ bulk::Layout layout_for(const trace::Program& program, std::size_t p,
 std::string ExecConfig::name() const {
   std::ostringstream os;
   if (via_planner) {
-    os << "planner" << (tune ? "/tuned" : "/searched");
+    os << "planner";
     if (workers != 1) os << "/workers=" << workers;
     return os.str();
   }
-  os << to_string(backend) << "/";
-  if (arrangement == Arrangement::kBlocked) {
-    os << "blocked(" << block << ")";
-  } else if (arrangement == Arrangement::kConflictFree) {
-    os << "cf(" << block << ")";
-  } else {
-    os << (arrangement == Arrangement::kRowWise ? "row" : "col");
+  if (arrangement.has_value()) {
+    os << "umm/";
+    switch (*arrangement) {
+      case Arrangement::kRowWise: os << "row"; break;
+      case Arrangement::kColumnWise: os << "col"; break;
+      case Arrangement::kBlocked: os << "blocked(" << block << ")"; break;
+      case Arrangement::kConflictFree: os << "cf(" << block << ")"; break;
+    }
+    return os.str();
   }
+  os << to_string(backend);
   if (backend != exec::Backend::kInterpreted) {
     os << "/" << obx::to_string(simd) << "/tile=" << tile_lanes;
     if (compile_budget_steps != 0) os << "/budget=" << compile_budget_steps;
@@ -95,42 +120,35 @@ std::vector<ExecConfig> config_matrix(std::size_t p, std::size_t program_steps) 
   std::vector<ExecConfig> configs;
   const std::vector<SimdIsa> tiers = supported_tiers();
 
-  struct Arr {
-    Arrangement arrangement;
-    std::size_t block;
-  };
-  std::vector<Arr> arrangements{{Arrangement::kRowWise, 0},
-                                {Arrangement::kColumnWise, 0},
-                                {Arrangement::kConflictFree, 2},
-                                {Arrangement::kConflictFree, 4}};
-  for (const std::size_t b : blocked_blocks(p)) {
-    arrangements.push_back({Arrangement::kBlocked, b});
-  }
-  // Ragged blocked: a block that does not divide p pads the last block.
-  if (p >= 3) arrangements.push_back({Arrangement::kBlocked, p - 1});
-
-  for (const Arr& arr : arrangements) {
-    ExecConfig interp;
-    interp.backend = exec::Backend::kInterpreted;
-    interp.arrangement = arr.arrangement;
-    interp.block = arr.block;
-    configs.push_back(interp);
-
-    for (const SimdIsa isa : tiers) {
-      for (const std::size_t tile : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-        ExecConfig c;
-        c.backend = exec::Backend::kCompiled;
-        c.arrangement = arr.arrangement;
-        c.block = arr.block;
-        c.simd = isa;
-        c.tile_lanes = tile;
-        configs.push_back(c);
-      }
+  // The host engines: interpreted, and compiled at every tier and tile.
+  configs.push_back(ExecConfig{});
+  for (const SimdIsa isa : tiers) {
+    for (const std::size_t tile : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+      ExecConfig c;
+      c.backend = exec::Backend::kCompiled;
+      c.simd = isa;
+      c.tile_lanes = tile;
+      configs.push_back(c);
     }
   }
 
-  // Chunk-boundary seams: the widest tier, column-wise, two workers — plus
-  // the interpreted engine with two workers.
+  // Every arrangement's address map, on the UMM simulator.
+  const auto simulated = [&](Arrangement arrangement, std::size_t block) {
+    ExecConfig c;
+    c.arrangement = arrangement;
+    c.block = block;
+    configs.push_back(c);
+  };
+  simulated(Arrangement::kRowWise, 0);
+  simulated(Arrangement::kColumnWise, 0);
+  simulated(Arrangement::kConflictFree, 2);
+  simulated(Arrangement::kConflictFree, 4);
+  for (const std::size_t b : blocked_blocks(p)) simulated(Arrangement::kBlocked, b);
+  // Ragged blocked: a block that does not divide p pads the last block.
+  if (p >= 3) simulated(Arrangement::kBlocked, p - 1);
+
+  // Chunk-boundary seams: the widest tier, two workers — plus the
+  // interpreted engine with two workers.
   if (p >= 2) {
     ExecConfig c;
     c.backend = exec::Backend::kCompiled;
@@ -161,18 +179,12 @@ std::vector<ExecConfig> config_matrix(std::size_t p, std::size_t program_steps) 
     configs.push_back(isteal);
   }
 
-  // The full planning path: the arrangement search (and, in the second
-  // config, the measuring auto-tuner) picks the layout; whatever it picks
-  // must still match the oracle bit for bit.
-  {
-    ExecConfig searched;
-    searched.via_planner = true;
-    configs.push_back(searched);
-    ExecConfig tuned;
-    tuned.via_planner = true;
-    tuned.tune = true;
-    configs.push_back(tuned);
-  }
+  // The full planning path: the arrangement search picks the model's
+  // layout; whatever it picks, the host run must match the oracle bit for
+  // bit.
+  ExecConfig planned;
+  planned.via_planner = true;
+  configs.push_back(planned);
 
   // Compile-budget straddles (fresh cache slots, see run_config): one step
   // under budget must fall back to the interpreter bit-identically; exactly
@@ -203,7 +215,8 @@ std::vector<Word> oracle_memory(const trace::Program& program,
     const std::span<const Word> input =
         inputs.subspan(j * program.input_words, program.input_words);
     const trace::InterpreterResult ref = trace::interpret(program, input);
-    std::copy(ref.memory.begin(), ref.memory.end(), memory.begin() + j * n);
+    std::copy(ref.memory.begin(), ref.memory.end(),
+              memory.begin() + static_cast<std::ptrdiff_t>(j * n));
   }
   return memory;
 }
@@ -219,41 +232,39 @@ std::optional<Divergence> run_config(const trace::Program& program,
     return d;
   };
 
+  const std::size_t n = program.memory_words;
+  const auto column_wise = [p](std::size_t i, std::size_t j) { return i * p + j; };
+
   if (config.via_planner) {
     plan::PlanOptions po;
     po.reference_lanes = p;
     po.workers = config.workers;
-    po.tune.measure = config.tune;
-    po.tune.trials = 1;
     // The oracle is the unoptimised program's full memory image; keep the
     // optimiser out so scratch words stay comparable.
     po.optimise = false;
-    std::shared_ptr<const plan::ExecutionPlan> plan;
     bulk::HostRunResult run;
     try {
-      plan = plan::Planner(po).build(program);
-      run = bulk::HostBulkExecutor(*plan, p).run(plan->program(), inputs);
+      run = plan::run(*plan::Planner(po).build(program), inputs, p);
     } catch (const std::exception& e) {
       return fail(std::string("threw: ") + e.what());
     }
-    const bulk::Layout layout = plan->layout(p);
-    const std::size_t n = program.memory_words;
-    for (std::size_t j = 0; j < p; ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const Word got = run.memory[layout.global(static_cast<Addr>(i), j)];
-        const Word expected = oracle[j * n + i];
-        if (got != expected) {
-          Divergence d;
-          d.config = config.name();
-          d.lane = j;
-          d.word = i;
-          d.expected = expected;
-          d.got = got;
-          return d;
-        }
-      }
+    return first_divergence(run.memory, oracle, p, n, config.name(), column_wise);
+  }
+
+  if (config.arrangement.has_value()) {
+    const bulk::Layout layout =
+        bulk::make_layout(program, p, *config.arrangement, config.block);
+    bulk::UmmRunResult run;
+    try {
+      run = bulk::UmmBulkExecutor(umm::Model::kUmm, umm::MachineConfig{}, layout)
+                .run(program, inputs);
+    } catch (const std::exception& e) {
+      return fail(std::string("threw: ") + e.what());
     }
-    return std::nullopt;
+    return first_divergence(run.memory, oracle, p, n, config.name(),
+                            [&layout](std::size_t i, std::size_t j) {
+                              return layout.global(static_cast<Addr>(i), j);
+                            });
   }
 
   // Budget-variant configs run against a private exec-cache slot: the
@@ -274,12 +285,9 @@ std::optional<Divergence> run_config(const trace::Program& program,
   }
   if (config.backend != exec::Backend::kInterpreted) options.simd = config.simd;
 
-  const bulk::Layout layout = layout_for(subject, p, config);
-  const bulk::HostBulkExecutor executor(layout, options);
-
   bulk::HostRunResult run;
   try {
-    run = executor.run(subject, inputs);
+    run = bulk::HostBulkExecutor(p, options).run(subject, inputs);
   } catch (const std::exception& e) {
     return fail(std::string("threw: ") + e.what());
   }
@@ -291,23 +299,7 @@ std::optional<Divergence> run_config(const trace::Program& program,
 
   // Compare the full final memory image lane by lane — not just the declared
   // output window — so a wrong scratch word is a failure too.
-  const std::size_t n = subject.memory_words;
-  for (std::size_t j = 0; j < p; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const Word got = run.memory[layout.global(static_cast<Addr>(i), j)];
-      const Word expected = oracle[j * n + i];
-      if (got != expected) {
-        Divergence d;
-        d.config = config.name();
-        d.lane = j;
-        d.word = i;
-        d.expected = expected;
-        d.got = got;
-        return d;
-      }
-    }
-  }
-  return std::nullopt;
+  return first_divergence(run.memory, oracle, p, n, config.name(), column_wise);
 }
 
 std::optional<Divergence> check_program(const trace::Program& program,

@@ -2,20 +2,22 @@
 // configuration available on the host, with trace::interpret as the oracle.
 //
 // The paper's Theorem 2 rests on the trace being data-independent: every
-// execution path — interpreted or compiled, any arrangement, any SIMD tier,
-// any lane-tile split — must produce bit-identical memory images.  This
-// header enumerates that path matrix and checks a program against all of it.
+// execution path — interpreted or compiled, any SIMD tier, any lane-tile
+// split, and any arrangement's address map — must produce bit-identical
+// memory images.  This header enumerates that path matrix and checks a
+// program against all of it.
 //
-// Matrix axes:
+// Matrix axes, on the host (column-wise, its one memory image):
 //   backend      interpreted, compiled (plus compile-budget straddles: a
 //                fresh-cache compile at budget == steps-1 must fall back to
 //                the interpreter, at budget == steps must compile)
-//   arrangement  row-wise, column-wise, blocked(B) for divisors B of p
-//                (including B that are not vector-width multiples — the
-//                ragged-tile case)
 //   SIMD tier    every tier simd_isa_supported() on this host/build
 //   tile_lanes   auto, 1 (scalar-tail-only), and a deliberately odd size
-//   workers      1 and 2 (chunk-boundary seams)
+//   workers      1, 2 (chunk-boundary seams) and 8 (steal stress)
+// and on the UMM simulator (bulk::UmmBulkExecutor), one run per arrangement:
+//   arrangement  row-wise, column-wise, conflict-free(2|4), blocked(B) for
+//                divisors B of p, and a ragged blocked(p-1) whose last block
+//                is padded
 #pragma once
 
 #include <cstdint>
@@ -35,7 +37,9 @@ namespace obx::check {
 /// One point of the execution matrix.
 struct ExecConfig {
   exec::Backend backend = exec::Backend::kInterpreted;
-  bulk::Arrangement arrangement = bulk::Arrangement::kColumnWise;
+  /// Set: run on the UMM simulator in this arrangement (the backend, SIMD,
+  /// tile and worker fields do not apply).  Unset: run on the host.
+  std::optional<bulk::Arrangement> arrangement;
   /// Arrangement parameter: block size (kBlocked; a non-divisor of p pads
   /// the last block) or pad stride (kConflictFree).
   std::size_t block = 0;
@@ -49,12 +53,10 @@ struct ExecConfig {
   /// budget-straddle configs to prove the fallback actually happened).
   std::optional<exec::Backend> expect_backend;
   unsigned workers = 1;
-  /// Route the run through plan::Planner (arrangement search) instead of a
-  /// directly-constructed executor; `tune` additionally turns the measuring
-  /// auto-tuner on.  Whatever arrangement the search picks must still be
-  /// bit-identical to the oracle.
+  /// Route the run through plan::Planner (arrangement search, then
+  /// plan::run) instead of a directly-constructed executor.  Whatever
+  /// arrangement the search picks, the host run must match the oracle.
   bool via_planner = false;
-  bool tune = false;
 
   std::string name() const;
 };

@@ -11,80 +11,29 @@ namespace obx::exec {
 
 namespace detail {
 
-using bulk::Arrangement;
-
-/// Scatters this tile's inputs into arranged memory.  Column-wise/blocked is
-/// a cache-blocked transpose (sub-tiles of lanes keep the source lines
-/// L1-resident); row-wise input rows are contiguous copies.
+/// Scatters this tile's inputs into the column-wise memory image: a
+/// two-level tiled transpose.  Lane sub-blocks of 256 keep the tile's input
+/// pages resident in the L2 TLB and its source lines in L1; 8-word (one
+/// cacheline) address tiles turn the inner loop into one full source line
+/// scattered onto 8 contiguous write streams.
 static void scatter_tile(const Tile& t, std::span<const Word> inputs, std::size_t iw) {
-  if (iw == 0) return;
+  constexpr std::size_t kSub = 256;
+  constexpr std::size_t kLine = 8;
   const Word* src_base = inputs.data();
-  switch (t.arr) {
-    case Arrangement::kRowWise: {
-      for (std::size_t j = 0; j < t.len; ++j) {
-        const Word* src = src_base + (t.base + j) * iw;
-        Word* dst = t.mem + (t.base + j) * t.n;
-        std::copy(src, src + iw, dst);
+  for (std::size_t jb = 0; jb < t.len; jb += kSub) {
+    const std::size_t je = std::min(jb + kSub, t.len);
+    std::size_t i0 = 0;
+    for (; i0 + kLine <= iw; i0 += kLine) {
+      Word* dst[kLine];
+      for (std::size_t k = 0; k < kLine; ++k) dst[k] = mem_ref(t, static_cast<Addr>(i0 + k));
+      for (std::size_t j = jb; j < je; ++j) {
+        const Word* src = src_base + (t.base + j) * iw + i0;
+        for (std::size_t k = 0; k < kLine; ++k) dst[k][j] = src[k];
       }
-      break;
     }
-    case Arrangement::kColumnWise:
-    case Arrangement::kBlocked: {
-      // Two-level tiled transpose.  Lane sub-blocks of 256 keep the block's
-      // input pages resident in the L2 TLB and its source lines in L1;
-      // 8-word (one cacheline) address tiles turn the inner loop into one
-      // full source line scattered onto 8 contiguous write streams.
-      constexpr std::size_t kSub = 256;
-      constexpr std::size_t kLine = 8;
-      for (std::size_t jb = 0; jb < t.len; jb += kSub) {
-        const std::size_t je = std::min(jb + kSub, t.len);
-        std::size_t i0 = 0;
-        for (; i0 + kLine <= iw; i0 += kLine) {
-          Word* dst[kLine];
-          for (std::size_t k = 0; k < kLine; ++k) {
-            dst[k] = mem_ref(t, static_cast<Addr>(i0 + k)).ptr;
-          }
-          for (std::size_t j = jb; j < je; ++j) {
-            const Word* src = src_base + (t.base + j) * iw + i0;
-            for (std::size_t k = 0; k < kLine; ++k) dst[k][j] = src[k];
-          }
-        }
-        for (; i0 < iw; ++i0) {
-          const MemRef m = mem_ref(t, static_cast<Addr>(i0));
-          for (std::size_t j = jb; j < je; ++j) {
-            m.ptr[j] = src_base[(t.base + j) * iw + i0];
-          }
-        }
-      }
-      break;
-    }
-    case Arrangement::kConflictFree: {
-      // Same two-level transpose, but destinations are `stride` words apart
-      // (the pad stride of the conflict-free layout).
-      constexpr std::size_t kSub = 256;
-      constexpr std::size_t kLine = 8;
-      const std::size_t stride = t.block;
-      for (std::size_t jb = 0; jb < t.len; jb += kSub) {
-        const std::size_t je = std::min(jb + kSub, t.len);
-        std::size_t i0 = 0;
-        for (; i0 + kLine <= iw; i0 += kLine) {
-          Word* dst[kLine];
-          for (std::size_t k = 0; k < kLine; ++k) {
-            dst[k] = mem_ref(t, static_cast<Addr>(i0 + k)).ptr;
-          }
-          for (std::size_t j = jb; j < je; ++j) {
-            const Word* src = src_base + (t.base + j) * iw + i0;
-            for (std::size_t k = 0; k < kLine; ++k) dst[k][j * stride] = src[k];
-          }
-        }
-        for (; i0 < iw; ++i0) {
-          const MemRef m = mem_ref(t, static_cast<Addr>(i0));
-          for (std::size_t j = jb; j < je; ++j) {
-            m.ptr[j * stride] = src_base[(t.base + j) * iw + i0];
-          }
-        }
-      }
-      break;
+    for (; i0 < iw; ++i0) {
+      Word* dst = mem_ref(t, static_cast<Addr>(i0));
+      for (std::size_t j = jb; j < je; ++j) dst[j] = src_base[(t.base + j) * iw + i0];
     }
   }
 }
@@ -93,7 +42,6 @@ static void scatter_tile(const Tile& t, std::span<const Word> inputs, std::size_
 
 namespace {
 
-using bulk::Arrangement;
 using detail::Tile;
 
 using SegmentFn = void (*)(const Tile&, const CompiledProgram::Segment&);
@@ -137,7 +85,7 @@ std::string to_string(Backend backend) {
 }
 
 std::size_t resolve_tile_lanes(std::size_t requested, std::size_t reg_count,
-                               const bulk::Layout& layout, std::size_t vector_width) {
+                               std::size_t lanes, std::size_t vector_width) {
   const std::size_t w = std::max<std::size_t>(vector_width, 1);
   std::size_t tile = requested;
   if (tile == 0) {
@@ -146,41 +94,20 @@ std::size_t resolve_tile_lanes(std::size_t requested, std::size_t reg_count,
     // Power of two in [32, 1024]: already a multiple of every vector width.
     tile = std::clamp<std::size_t>(std::bit_floor(tile), 32, 1024);
   }
-  tile = std::max<std::size_t>(std::min(tile, layout.lanes()), 1);
-  if (layout.arrangement() == Arrangement::kBlocked) {
-    // A tile must divide the block (tile addressing relies on one stride).
-    // Prefer the largest such divisor that is also a vector-width multiple;
-    // fall back to the largest plain divisor of the request (a
-    // scalar-tail-only tile) when none exists.
-    tile = std::min(tile, layout.block());
-    std::size_t vec = 0;
-    for (std::size_t d = tile - tile % w; d >= w; d -= w) {
-      if (layout.block() % d == 0) {
-        vec = d;
-        break;
-      }
-    }
-    if (vec != 0) {
-      tile = vec;
-    } else {
-      while (layout.block() % tile != 0) --tile;
-    }
-  } else if (tile >= w) {
-    tile -= tile % w;  // round down to a vector-width multiple
-  }
-  // Degenerate inputs (p < vector width, reg_count == 0, a blocked layout
-  // whose block shares no divisor with the request) must still yield a
-  // runnable scalar tile: run_compiled_chunk refuses tile_lanes == 0.
+  tile = std::min(tile, lanes);
+  if (tile >= w) tile -= tile % w;  // round down to a vector-width multiple
+  // Degenerate inputs (no lanes, reg_count == 0) must still yield a runnable
+  // scalar tile: run_compiled_chunk refuses tile_lanes == 0.
   return std::max<std::size_t>(tile, 1);
 }
 
-void run_compiled_chunk(const CompiledProgram& compiled, const bulk::Layout& layout,
+void run_compiled_chunk(const CompiledProgram& compiled, std::size_t lanes,
                         std::span<const Word> inputs, std::size_t input_words,
                         std::span<Word> memory, Lane lane_begin, Lane lane_end,
                         std::size_t tile_lanes, SimdIsa isa) {
   OBX_CHECK(tile_lanes > 0, "tile size must be positive");
-  OBX_CHECK(compiled.memory_words() == layout.words_per_input(),
-            "compiled program sized for a different layout");
+  OBX_CHECK(memory.size() == lanes * compiled.memory_words(),
+            "memory image sized for a different program or lane count");
   const std::size_t reg_count = std::max<std::size_t>(compiled.register_count(), 1);
   // Grow-only thread-local register scratch: with the CorePool submitting
   // one task per tile, this entry point runs once per tile on whichever
@@ -196,10 +123,7 @@ void run_compiled_chunk(const CompiledProgram& compiled, const bulk::Layout& lay
   t.regs = regs.data();
   t.cap = tile_lanes;
   t.mem = memory.data();
-  t.p = layout.lanes();
-  t.n = layout.words_per_input();
-  t.block = layout.block();
-  t.arr = layout.arrangement();
+  t.p = lanes;
 
   for (std::size_t base = lane_begin; base < lane_end; base += tile_lanes) {
     t.base = base;

@@ -2,8 +2,8 @@
 //
 // backend.cpp (scatter, tiling, dispatch) and the per-ISA kernel TUs
 // (backend_w1/w2/avx2/avx512.cpp) all address the same lane-major register
-// tile and arranged memory image; the structs and address math live here so
-// they agree by construction.  reg/mem_ref are force-inlined for the same
+// tile and column-wise memory image; the structs and address math live here
+// so they agree by construction.  reg/mem_ref are force-inlined for the same
 // ODR reason as simd.hpp: they are compiled under different target flags per
 // TU.
 #pragma once
@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "bulk/layout.hpp"
 #include "common/types.hpp"
 #include "exec/compiled_program.hpp"
 #include "trace/alu_ops.hpp"
@@ -20,16 +19,13 @@ namespace obx::exec::detail {
 
 /// One lane tile: a window of `len` consecutive lanes starting at `base`,
 /// with an L1-resident lane-major register tile (register r of tile lane j at
-/// regs[r * cap + j]).
+/// regs[r * cap + j]) over the column-wise memory image of `p` lanes.
 struct Tile {
   Word* regs = nullptr;
   std::size_t cap = 0;
   std::size_t len = 0;
   Word* mem = nullptr;
   std::size_t p = 0;
-  std::size_t n = 0;
-  std::size_t block = 0;
-  bulk::Arrangement arr = bulk::Arrangement::kColumnWise;
   std::size_t base = 0;
 };
 
@@ -37,42 +33,10 @@ OBX_ALWAYS_INLINE Word* reg(const Tile& t, std::uint8_t r) {
   return t.regs + std::size_t{r} * t.cap;
 }
 
-/// Tile-lane j of canonical address a lives at ptr[j * stride].  Valid because
-/// a tile never spans a blocked layout's block boundary.
-struct MemRef {
-  Word* ptr = nullptr;
-  std::size_t stride = 1;
-};
-
-OBX_ALWAYS_INLINE MemRef mem_ref(const Tile& t, Addr a) {
-  switch (t.arr) {
-    case bulk::Arrangement::kColumnWise:
-      return {t.mem + std::size_t{a} * t.p + t.base, 1};
-    case bulk::Arrangement::kRowWise:
-      return {t.mem + t.base * t.n + a, t.n};
-    case bulk::Arrangement::kBlocked:
-      return {t.mem + (t.base / t.block) * (t.n * t.block) + std::size_t{a} * t.block +
-                  t.base % t.block,
-              1};
-    case bulk::Arrangement::kConflictFree:
-      // Padded column layout: t.block carries the pad stride.
-      return {t.mem + (std::size_t{a} * t.p + t.base) * t.block, t.block};
-  }
-  return {};
-}
-
-/// Lane-to-lane word distance of the tile's arrangement — the stride every
-/// MemRef of this tile shares (1 for column-wise/blocked, n for row-wise,
-/// the pad stride for conflict-free).
-OBX_ALWAYS_INLINE std::size_t lane_word_stride(const Tile& t) {
-  switch (t.arr) {
-    case bulk::Arrangement::kRowWise:
-      return t.n;
-    case bulk::Arrangement::kConflictFree:
-      return t.block;
-    default:
-      return 1;
-  }
+/// Canonical address a of tile lane j lives at mem_ref(t, a)[j]: the memory
+/// image is column-wise, so a tile's words of one address are contiguous.
+OBX_ALWAYS_INLINE Word* mem_ref(const Tile& t, Addr a) {
+  return t.mem + std::size_t{a} * t.p + t.base;
 }
 
 // Per-ISA segment bodies.  Each is defined in exactly one translation unit,

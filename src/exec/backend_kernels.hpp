@@ -32,21 +32,6 @@ using trace::Op;
 using trace::Step;
 using trace::StepKind;
 
-/// Arranged-memory access at tile lane j: UNIT is the stride-1 fast path
-/// (column-wise / blocked), the strided path serves row-wise and
-/// conflict-free layouts (see lane_word_stride).
-template <std::size_t V, bool UNIT>
-static OBX_ALWAYS_INLINE Vec<V> vload(const MemRef& m, std::size_t j) {
-  if constexpr (UNIT) return Vec<V>::load(m.ptr + j);
-  else return Vec<V>::load(m.ptr + j * m.stride, m.stride);
-}
-
-template <std::size_t V, bool UNIT>
-static OBX_ALWAYS_INLINE void vstore(const MemRef& m, std::size_t j, Vec<V> x) {
-  if constexpr (UNIT) x.store(m.ptr + j);
-  else x.store(m.ptr + j * m.stride, m.stride);
-}
-
 /// Lockstep ALU over register columns with the opcode already resolved: the
 /// shared inner loop of kAlu and the ALU steps of kRegRun.
 template <Op OP, std::size_t W>
@@ -75,30 +60,20 @@ static OBX_ALWAYS_INLINE void alu_sweep(Op op, Word* d, const Word* a, const Wor
 template <std::size_t W>
 static void k_load(const Tile& t, const FusedOp& f) {
   if ((f.flags & opt::kElideAuxCommit) != 0) return;  // dead value: skip entirely
-  const MemRef m = mem_ref(t, f.addr);
+  const Word* m = mem_ref(t, f.addr);
   Word* d = reg(t, f.aux);
-  auto body = [&](auto unit) {
-    constexpr bool UNIT = decltype(unit)::value;
-    std::size_t j = 0;
-    for (; j + W <= t.len; j += W) vload<W, UNIT>(m, j).store(d + j);
-    for (; j < t.len; ++j) vload<1, UNIT>(m, j).store(d + j);
-  };
-  if (m.stride == 1) body(std::true_type{});
-  else body(std::false_type{});
+  std::size_t j = 0;
+  for (; j + W <= t.len; j += W) Vec<W>::load(m + j).store(d + j);
+  for (; j < t.len; ++j) d[j] = m[j];
 }
 
 template <std::size_t W>
 static void k_store(const Tile& t, const FusedOp& f) {
-  const MemRef m = mem_ref(t, f.addr2);
+  Word* m = mem_ref(t, f.addr2);
   const Word* s = reg(t, f.aux);
-  auto body = [&](auto unit) {
-    constexpr bool UNIT = decltype(unit)::value;
-    std::size_t j = 0;
-    for (; j + W <= t.len; j += W) vstore<W, UNIT>(m, j, Vec<W>::load(s + j));
-    for (; j < t.len; ++j) vstore<1, UNIT>(m, j, Vec<1>::load(s + j));
-  };
-  if (m.stride == 1) body(std::true_type{});
-  else body(std::false_type{});
+  std::size_t j = 0;
+  for (; j + W <= t.len; j += W) Vec<W>::load(s + j).store(m + j);
+  for (; j < t.len; ++j) m[j] = s[j];
 }
 
 template <std::size_t W>
@@ -168,12 +143,12 @@ static void k_imm_alu(const Tile& t, const FusedOp& f) {
   dispatch_op(f.op, [&](auto opc) { k_imm_alu_op<decltype(opc)::value, W>(t, f); });
 }
 
-template <Op OP, bool UNIT, std::size_t V>
-static OBX_ALWAYS_INLINE void load_alu_step(const MemRef& m, Word* lr, Word* d,
+template <Op OP, std::size_t V>
+static OBX_ALWAYS_INLINE void load_alu_step(const Word* m, Word* lr, Word* d,
                                             const Word* a, const Word* b, const Word* c,
                                             bool commit, bool s0f, bool s1f, bool s2f,
                                             bool ddf, std::size_t j) {
-  const Vec<V> tt = vload<V, UNIT>(m, j);
+  const Vec<V> tt = Vec<V>::load(m + j);
   if (commit) tt.store(lr + j);
   const Vec<V> av = s0f ? tt : Vec<V>::load(a + j);
   const Vec<V> bv = s1f ? tt : Vec<V>::load(b + j);
@@ -182,8 +157,9 @@ static OBX_ALWAYS_INLINE void load_alu_step(const MemRef& m, Word* lr, Word* d,
   vapply<OP, V>(av, bv, cv, dv).store(d + j);
 }
 
-template <Op OP, bool UNIT, std::size_t W>
-static void k_load_alu_body(const Tile& t, const FusedOp& f, const MemRef m) {
+template <Op OP, std::size_t W>
+static void k_load_alu_op(const Tile& t, const FusedOp& f) {
+  const Word* m = mem_ref(t, f.addr);
   Word* lr = reg(t, f.aux);
   Word* d = reg(t, f.dst);
   const Word* a = reg(t, f.src0);
@@ -196,16 +172,9 @@ static void k_load_alu_body(const Tile& t, const FusedOp& f, const MemRef m) {
   const bool ddf = f.dst == f.aux;
   std::size_t j = 0;
   for (; j + W <= t.len; j += W)
-    load_alu_step<OP, UNIT, W>(m, lr, d, a, b, c, commit, s0f, s1f, s2f, ddf, j);
+    load_alu_step<OP, W>(m, lr, d, a, b, c, commit, s0f, s1f, s2f, ddf, j);
   for (; j < t.len; ++j)
-    load_alu_step<OP, UNIT, 1>(m, lr, d, a, b, c, commit, s0f, s1f, s2f, ddf, j);
-}
-
-template <Op OP, std::size_t W>
-static void k_load_alu_op(const Tile& t, const FusedOp& f) {
-  const MemRef m = mem_ref(t, f.addr);
-  if (m.stride == 1) k_load_alu_body<OP, true, W>(t, f, m);
-  else k_load_alu_body<OP, false, W>(t, f, m);
+    load_alu_step<OP, 1>(m, lr, d, a, b, c, commit, s0f, s1f, s2f, ddf, j);
 }
 
 template <std::size_t W>
@@ -213,19 +182,20 @@ static void k_load_alu(const Tile& t, const FusedOp& f) {
   dispatch_op(f.op, [&](auto opc) { k_load_alu_op<decltype(opc)::value, W>(t, f); });
 }
 
-template <Op OP, bool UNIT, std::size_t V>
-static OBX_ALWAYS_INLINE void alu_store_step(const MemRef& m, Word* d, const Word* a,
+template <Op OP, std::size_t V>
+static OBX_ALWAYS_INLINE void alu_store_step(Word* m, Word* d, const Word* a,
                                              const Word* b, const Word* c, const Word* s,
                                              bool sfwd, std::size_t j) {
   const Vec<V> v = vapply<OP, V>(Vec<V>::load(a + j), Vec<V>::load(b + j),
                                  Vec<V>::load(c + j), Vec<V>::load(d + j));
   v.store(d + j);
   const Vec<V> sv = sfwd ? v : Vec<V>::load(s + j);
-  vstore<V, UNIT>(m, j, sv);
+  sv.store(m + j);
 }
 
-template <Op OP, bool UNIT, std::size_t W>
-static void k_alu_store_body(const Tile& t, const FusedOp& f, const MemRef m) {
+template <Op OP, std::size_t W>
+static void k_alu_store_op(const Tile& t, const FusedOp& f) {
+  Word* m = mem_ref(t, f.addr2);
   Word* d = reg(t, f.dst);
   const Word* a = reg(t, f.src0);
   const Word* b = reg(t, f.src1);
@@ -233,15 +203,8 @@ static void k_alu_store_body(const Tile& t, const FusedOp& f, const MemRef m) {
   const Word* s = reg(t, f.aux);
   const bool sfwd = f.aux == f.dst;
   std::size_t j = 0;
-  for (; j + W <= t.len; j += W) alu_store_step<OP, UNIT, W>(m, d, a, b, c, s, sfwd, j);
-  for (; j < t.len; ++j) alu_store_step<OP, UNIT, 1>(m, d, a, b, c, s, sfwd, j);
-}
-
-template <Op OP, std::size_t W>
-static void k_alu_store_op(const Tile& t, const FusedOp& f) {
-  const MemRef m = mem_ref(t, f.addr2);
-  if (m.stride == 1) k_alu_store_body<OP, true, W>(t, f, m);
-  else k_alu_store_body<OP, false, W>(t, f, m);
+  for (; j + W <= t.len; j += W) alu_store_step<OP, W>(m, d, a, b, c, s, sfwd, j);
+  for (; j < t.len; ++j) alu_store_step<OP, 1>(m, d, a, b, c, s, sfwd, j);
 }
 
 template <std::size_t W>
@@ -249,14 +212,14 @@ static void k_alu_store(const Tile& t, const FusedOp& f) {
   dispatch_op(f.op, [&](auto opc) { k_alu_store_op<decltype(opc)::value, W>(t, f); });
 }
 
-template <Op OP, bool UNIT, std::size_t V>
-static OBX_ALWAYS_INLINE void load_alu_store_step(const MemRef& in, const MemRef& out,
+template <Op OP, std::size_t V>
+static OBX_ALWAYS_INLINE void load_alu_store_step(const Word* in, Word* out,
                                                   Word* lr, Word* d, const Word* a,
                                                   const Word* b, const Word* c,
                                                   const Word* s, bool commit, bool s0f,
                                                   bool s1f, bool s2f, bool ddf, bool st_v,
                                                   bool st_t, std::size_t j) {
-  const Vec<V> tt = vload<V, UNIT>(in, j);
+  const Vec<V> tt = Vec<V>::load(in + j);
   if (commit) tt.store(lr + j);
   const Vec<V> av = s0f ? tt : Vec<V>::load(a + j);
   const Vec<V> bv = s1f ? tt : Vec<V>::load(b + j);
@@ -265,12 +228,13 @@ static OBX_ALWAYS_INLINE void load_alu_store_step(const MemRef& in, const MemRef
   const Vec<V> v = vapply<OP, V>(av, bv, cv, dv);
   v.store(d + j);
   const Vec<V> sv = st_v ? v : (st_t ? tt : Vec<V>::load(s + j));
-  vstore<V, UNIT>(out, j, sv);
+  sv.store(out + j);
 }
 
-template <Op OP, bool UNIT, std::size_t W>
-static void k_load_alu_store_body(const Tile& t, const FusedOp& f, const MemRef in,
-                                  const MemRef out) {
+template <Op OP, std::size_t W>
+static void k_load_alu_store_op(const Tile& t, const FusedOp& f) {
+  const Word* in = mem_ref(t, f.addr);
+  Word* out = mem_ref(t, f.addr2);
   Word* lr = reg(t, f.aux);
   Word* d = reg(t, f.dst);
   const Word* a = reg(t, f.src0);
@@ -286,21 +250,13 @@ static void k_load_alu_store_body(const Tile& t, const FusedOp& f, const MemRef 
   const bool st_t = f.aux2 == f.aux;  // store sees the loaded word
   std::size_t j = 0;
   for (; j + W <= t.len; j += W) {
-    load_alu_store_step<OP, UNIT, W>(in, out, lr, d, a, b, c, s, commit, s0f, s1f, s2f,
-                                     ddf, st_v, st_t, j);
+    load_alu_store_step<OP, W>(in, out, lr, d, a, b, c, s, commit, s0f, s1f, s2f, ddf,
+                               st_v, st_t, j);
   }
   for (; j < t.len; ++j) {
-    load_alu_store_step<OP, UNIT, 1>(in, out, lr, d, a, b, c, s, commit, s0f, s1f, s2f,
-                                     ddf, st_v, st_t, j);
+    load_alu_store_step<OP, 1>(in, out, lr, d, a, b, c, s, commit, s0f, s1f, s2f, ddf,
+                               st_v, st_t, j);
   }
-}
-
-template <Op OP, std::size_t W>
-static void k_load_alu_store_op(const Tile& t, const FusedOp& f) {
-  const MemRef in = mem_ref(t, f.addr);
-  const MemRef out = mem_ref(t, f.addr2);
-  if (in.stride == 1) k_load_alu_store_body<OP, true, W>(t, f, in, out);
-  else k_load_alu_store_body<OP, false, W>(t, f, in, out);
 }
 
 template <std::size_t W>
@@ -337,35 +293,33 @@ static void k_reg_run(const Tile& t, const FusedOp& f, const Step* body) {
 /// path.  COMMIT (last group of a run with a live loaded register) also
 /// commits the final loaded words; a template parameter so the hot
 /// non-committing loop has no conditional store.
-template <Op OP, bool UNIT, int GW, bool COMMIT, std::size_t V>
-static OBX_ALWAYS_INLINE void triple_group_step(std::size_t stride, Word* acc, Word* ldr,
-                                                Word* const* in, Word* const* out,
-                                                bool s0l, bool s1l, std::size_t j) {
+template <Op OP, int GW, bool COMMIT, std::size_t V>
+static OBX_ALWAYS_INLINE void triple_group_step(Word* acc, Word* ldr, Word* const* in,
+                                                Word* const* out, bool s0l, bool s1l,
+                                                std::size_t j) {
   Vec<V> v = Vec<V>::load(acc + j);
   Vec<V> tt = Vec<V>::splat(0);
   for (int w = 0; w < GW; ++w) {
-    tt = UNIT ? Vec<V>::load(in[w] + j) : Vec<V>::load(in[w] + j * stride, stride);
+    tt = Vec<V>::load(in[w] + j);
     const Vec<V> a = s0l ? tt : v;
     const Vec<V> b = s1l ? tt : v;
     v = vapply<OP, V>(a, b, Vec<V>::splat(0), v);
-    if (UNIT) v.store(out[w] + j);
-    else v.store(out[w] + j * stride, stride);
+    v.store(out[w] + j);
   }
   v.store(acc + j);
   if constexpr (COMMIT) tt.store(ldr + j);
   else (void)ldr;
 }
 
-template <Op OP, bool UNIT, int GW, bool COMMIT, std::size_t W>
+template <Op OP, int GW, bool COMMIT, std::size_t W>
 static void k_triple_group(const Tile& t, Word* acc, Word* ldr, Word* const* in,
                            Word* const* out, bool s0l, bool s1l) {
-  const std::size_t stride = UNIT ? 1 : lane_word_stride(t);
   std::size_t j = 0;
   for (; j + W <= t.len; j += W) {
-    triple_group_step<OP, UNIT, GW, COMMIT, W>(stride, acc, ldr, in, out, s0l, s1l, j);
+    triple_group_step<OP, GW, COMMIT, W>(acc, ldr, in, out, s0l, s1l, j);
   }
   for (; j < t.len; ++j) {
-    triple_group_step<OP, UNIT, GW, COMMIT, 1>(stride, acc, ldr, in, out, s0l, s1l, j);
+    triple_group_step<OP, GW, COMMIT, 1>(acc, ldr, in, out, s0l, s1l, j);
   }
 }
 
@@ -377,7 +331,6 @@ static void k_triple_run_op(const Tile& t, const FusedOp& f, const Step* body) {
   const bool s0l = (f.flags & opt::kTripleS0Loaded) != 0;
   const bool s1l = (f.flags & opt::kTripleS1Loaded) != 0;
   const bool want_ld = (f.flags & opt::kElideAuxCommit) == 0;
-  const bool unit = lane_word_stride(t) == 1;
   const std::size_t runs = f.run_len;
   Word* in[kGw];
   Word* out[kGw];
@@ -385,28 +338,22 @@ static void k_triple_run_op(const Tile& t, const FusedOp& f, const Step* body) {
   for (; k + kGw <= runs; k += kGw) {
     for (int w = 0; w < kGw; ++w) {
       const std::size_t base = (k + static_cast<std::size_t>(w)) * 3;
-      in[w] = mem_ref(t, body[base].addr).ptr;
-      out[w] = mem_ref(t, body[base + 2].addr).ptr;
+      in[w] = mem_ref(t, body[base].addr);
+      out[w] = mem_ref(t, body[base + 2].addr);
     }
-    const bool commit = want_ld && k + kGw == runs;
-    if (unit) {
-      if (commit) k_triple_group<OP, true, kGw, true, W>(t, acc, ldr, in, out, s0l, s1l);
-      else k_triple_group<OP, true, kGw, false, W>(t, acc, ldr, in, out, s0l, s1l);
+    if (want_ld && k + kGw == runs) {
+      k_triple_group<OP, kGw, true, W>(t, acc, ldr, in, out, s0l, s1l);
     } else {
-      if (commit) k_triple_group<OP, false, kGw, true, W>(t, acc, ldr, in, out, s0l, s1l);
-      else k_triple_group<OP, false, kGw, false, W>(t, acc, ldr, in, out, s0l, s1l);
+      k_triple_group<OP, kGw, false, W>(t, acc, ldr, in, out, s0l, s1l);
     }
   }
   for (; k < runs; ++k) {
-    in[0] = mem_ref(t, body[k * 3].addr).ptr;
-    out[0] = mem_ref(t, body[k * 3 + 2].addr).ptr;
-    const bool commit = want_ld && k + 1 == runs;
-    if (unit) {
-      if (commit) k_triple_group<OP, true, 1, true, W>(t, acc, ldr, in, out, s0l, s1l);
-      else k_triple_group<OP, true, 1, false, W>(t, acc, ldr, in, out, s0l, s1l);
+    in[0] = mem_ref(t, body[k * 3].addr);
+    out[0] = mem_ref(t, body[k * 3 + 2].addr);
+    if (want_ld && k + 1 == runs) {
+      k_triple_group<OP, 1, true, W>(t, acc, ldr, in, out, s0l, s1l);
     } else {
-      if (commit) k_triple_group<OP, false, 1, true, W>(t, acc, ldr, in, out, s0l, s1l);
-      else k_triple_group<OP, false, 1, false, W>(t, acc, ldr, in, out, s0l, s1l);
+      k_triple_group<OP, 1, false, W>(t, acc, ldr, in, out, s0l, s1l);
     }
   }
 }

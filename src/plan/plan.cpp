@@ -57,18 +57,12 @@ std::uint64_t PlanOptions::fingerprint() const {
             ? static_cast<std::uint64_t>(*arrangement) + 1
             : 0);
   d.mix(arrangement_param);
-  // The tuner knobs are decisions; the injected clock is an observation
-  // channel and stays out.
-  d.mix_bool(tune.measure);
-  d.mix(tune.trials);
-  d.mix(tune.lanes);
   return d.h;
 }
 
 void PlanOptions::validate() const {
   machine.validate();
   OBX_CHECK(reference_lanes > 0, "reference lane count must be positive");
-  OBX_CHECK(tune.trials > 0, "tuner trial count must be positive");
 }
 
 std::string ArrangementCandidate::name() const {
@@ -183,14 +177,13 @@ std::string ExecutionPlan::describe() const {
   if (pv.arrangement_forced) {
     os << " (forced)\n";
   } else {
-    os << (pv.tuned ? " (tuned over " : " (searched ") << pv.candidates.size()
+    os << " (searched " << pv.candidates.size()
        << " candidates, margin=" << to_u64(pv.margin_units) << " units @ "
        << pv.reference_lanes << " lanes)\n";
     for (const ArrangementCandidate& c : pv.candidates) {
       std::string label = c.name();
       if (label.size() < 17) label.resize(17, ' ');
       os << "    candidate : " << label << " sim=" << to_u64(c.sim_units) << " units";
-      if (c.measured_ns != 0) os << " measured=" << c.measured_ns << "ns";
       if (c.chosen) os << " *";
       os << "\n";
     }
@@ -249,9 +242,7 @@ StreamStats run_streaming(
     }
 
     const auto exec_start = Clock::now();
-    if (!exec.has_value() || exec->layout().lanes() != batch) {
-      exec.emplace(plan.layout(batch), plan.host_options(batch));
-    }
+    if (!exec.has_value() || exec->lanes() != batch) exec.emplace(plan, batch);
     const bulk::HostRunResult run = exec->run(program, inputs);
     stats.sched += run.sched;
     exec->gather_outputs(program, run.memory, outputs);
@@ -276,6 +267,6 @@ namespace obx::bulk {
 // Declared on HostBulkExecutor so executors accept a plan at the call site,
 // defined here because bulk/ sits below plan/ and must not link upward.
 HostBulkExecutor::HostBulkExecutor(const plan::ExecutionPlan& plan, std::size_t lanes)
-    : HostBulkExecutor(plan.layout(lanes), plan.host_options(lanes)) {}
+    : HostBulkExecutor(lanes, plan.host_options(lanes)) {}
 
 }  // namespace obx::bulk

@@ -14,9 +14,9 @@
 //   - the shared exec::CompiledProgram artifact (also memoised through the
 //     program's exec_cache slot, so executors pick it up for free),
 //   - the chosen bulk::Arrangement (a search over row / column / blocked /
-//     conflict-free: simulated DMM+UMM units as the prior at a reference
-//     occupancy, optional bounded micro-measurements as the posterior —
-//     unless forced),
+//     conflict-free by simulated DMM+UMM units at a reference occupancy,
+//     unless forced) — the layout the UMM/DMM model prices; the host always
+//     runs the column-wise image,
 //   - the lane-tile knob, resolved backend, and worker count,
 //   - a memoised per-occupancy simulated-UMM-units estimate, and
 //   - a provenance record of which passes and decisions fired.
@@ -95,7 +95,8 @@ struct PlanOptions {
 
   /// Force an arrangement instead of searching.  All four arrangements are
   /// plannable; kBlocked / kConflictFree take their parameter from
-  /// arrangement_param.
+  /// arrangement_param.  The arrangement is a UMM/DMM model decision: it
+  /// prices units_for_lanes(), and the host runs column-wise regardless.
   std::optional<bulk::Arrangement> arrangement;
 
   /// Parameter of a forced kBlocked (block size) or kConflictFree (pad
@@ -104,27 +105,9 @@ struct PlanOptions {
   /// row-/column-wise.
   std::size_t arrangement_param = 0;
 
-  /// The measuring arrangement auto-tuner: when the search is not forced,
-  /// real micro-measurements of each candidate refine the simulated prior.
-  struct TuneOptions {
-    /// Run each candidate arrangement for real (bounded trials on all-zero
-    /// inputs — valid because the programs are oblivious) and let the best
-    /// measured time pick the winner; the simulated units stay recorded as
-    /// the prior.  Off by default: simulation alone decides.
-    bool measure = false;
-    std::size_t trials = 3;  ///< micro-measurement runs per candidate (min is kept)
-    std::size_t lanes = 0;   ///< occupancy measured at; 0 = reference_lanes
-    /// Injected monotonic nanosecond clock for deterministic tests; null =
-    /// std::chrono::steady_clock.  NOT part of the fingerprint (a clock is
-    /// an observation channel, not a decision knob).
-    std::function<std::uint64_t()> clock{};
-  };
-  TuneOptions tune{};
-
   /// Deterministic 64-bit digest of every knob above (machine included).
   /// Same options => same fingerprint, on any host.  Part of the PlanCache
-  /// key and of ExecutionPlan::fingerprint() — which is how tuned decisions
-  /// are memoised in PlanCache per (program, machine, occupancy, tune).
+  /// key and of ExecutionPlan::fingerprint().
   std::uint64_t fingerprint() const;
 
   /// Throws std::logic_error on an invalid machine shape or zero reference
@@ -133,14 +116,11 @@ struct PlanOptions {
 };
 
 /// One entry of the Planner's arrangement search: an arrangement (with its
-/// parameter), its simulated DMM+UMM units at the reference occupancy (the
-/// prior), and — when the tuner measured — its best wall-clock time (the
-/// posterior).
+/// parameter) and its simulated DMM+UMM units at the reference occupancy.
 struct ArrangementCandidate {
   bulk::Arrangement arrangement = bulk::Arrangement::kColumnWise;
-  std::size_t param = 0;          ///< block size / pad stride; 0 for row/column
-  TimeUnits sim_units = 0;        ///< simulated units (prior)
-  std::uint64_t measured_ns = 0;  ///< best measured trial; 0 = not measured
+  std::size_t param = 0;    ///< block size / pad stride; 0 for row/column
+  TimeUnits sim_units = 0;  ///< simulated units
   bool chosen = false;
 
   /// "column-wise", "blocked(32)", "conflict-free(4)", ... — the layout name.
@@ -168,13 +148,9 @@ struct PlanProvenance {
   /// conflict-free), exactly one marked chosen.  A forced arrangement
   /// records a single candidate.
   std::vector<ArrangementCandidate> candidates;
-  /// Winner's margin over the best rejected candidate: simulated units
-  /// normally, measured nanoseconds when the tuner decided (0 when forced
-  /// or when candidates tie).
+  /// Winner's margin over the best rejected candidate in simulated units (0
+  /// when forced or when candidates tie).
   TimeUnits margin_units = 0;
-  /// True when the measuring tuner (not the simulated prior) picked the
-  /// winner.
-  bool tuned = false;
   std::size_t reference_lanes = 0;
 
   /// Tile size resolve_tile_lanes() picks at reference_lanes occupancy.
@@ -217,6 +193,8 @@ class ExecutionPlan {
   /// running this program reuses the compile for free.
   const trace::Program& program() const { return program_; }
 
+  /// The arrangement the UMM/DMM model prices (units_for_lanes, layout);
+  /// the host executor always runs the column-wise image.
   bulk::Arrangement arrangement() const { return arrangement_; }
 
   /// Resolved arrangement parameter: the block size (kBlocked) or pad
@@ -263,11 +241,13 @@ class ExecutionPlan {
   TimeUnits units_for_lanes(std::size_t lanes) const;
 
   /// Largest resident-lane batch that keeps one batch's working set (input
-  /// + arranged memory + registers + output per lane) within budget_words,
+  /// + memory image + registers + output per lane) within budget_words,
   /// clamped to [1, p] — the Session's batch-sizing rule, now in one place.
   std::size_t resident_lanes_for_budget(std::size_t budget_words, std::size_t p) const;
 
-  /// Layout of a bulk run at the given occupancy under the chosen arrangement.
+  /// Layout of a bulk run at the given occupancy under the chosen
+  /// arrangement, as the UMM/DMM model sees it (simulate_units, the
+  /// simulators).  The host memory image is column-wise whatever this says.
   bulk::Layout layout(std::size_t lanes) const;
 
   /// The executor options this plan stands for, sized for runs of `lanes`
@@ -299,7 +279,8 @@ class ExecutionPlan {
 };
 
 /// Plan-driven monolithic run: executes plan.program() over p lane-major
-/// inputs with the plan's arrangement/backend/tile/workers.  When `outputs`
+/// inputs with the plan's backend/tile/workers into a column-wise memory
+/// image.  When `outputs`
 /// is non-null it receives the lane-major gathered output regions.
 bulk::HostRunResult run(const ExecutionPlan& plan, std::span<const Word> inputs,
                         std::size_t p, std::vector<Word>* outputs = nullptr);
@@ -308,7 +289,7 @@ bulk::HostRunResult run(const ExecutionPlan& plan, std::span<const Word> inputs,
 struct StreamStats {
   std::size_t batches = 0;
   std::size_t lanes = 0;
-  double execute_seconds = 0.0;   ///< engine time: layout, lockstep run, gather
+  double execute_seconds = 0.0;   ///< engine time: scatter, lockstep run, gather
   double callback_seconds = 0.0;  ///< time spent inside fill_input/consume_output
   bulk::SchedulerStats sched;     ///< CorePool work summed over the batches
 };

@@ -73,7 +73,7 @@ MachineConfig figure_example();
 /// transactions (group_words = 128 > width) make coalescing cheap, while
 /// 4-word bank rows make every stride-1 warp replay 4×.  Under this config
 /// the conflict-free arrangement strictly beats column-wise — the showcase
-/// for the Planner's arrangement search (see plan_tuner_test).
+/// for the Planner's arrangement search (see plan_search_test).
 MachineConfig conflict_heavy_example();
 
 }  // namespace obx::umm

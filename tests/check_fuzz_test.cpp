@@ -96,29 +96,31 @@ TEST(FuzzGenerator, EdgeWordPoolHasTheNastyPatterns) {
 
 TEST(FuzzMatrix, CoversEveryAxis) {
   const auto matrix = check::config_matrix(12, 100);
-  bool interpreted = false, compiled = false;
-  bool row = false, col = false, blocked = false, ragged = false;
-  bool conflict_free = false, planner_searched = false, planner_tuned = false;
+  bool interpreted = false, compiled = false, planner = false;
+  bool row = false, col = false, blocked = false, ragged = false, conflict_free = false;
   bool tile1 = false, tile3 = false, workers2 = false, scalar = false;
   bool straddle_under = false, straddle_exact = false;
   std::set<std::string> names;
   for (const check::ExecConfig& c : matrix) {
     EXPECT_TRUE(names.insert(c.name()).second) << "duplicate " << c.name();
+    planner |= c.via_planner;
+    if (c.arrangement.has_value()) {
+      // Every arrangement's address map runs on the UMM simulator.
+      row |= *c.arrangement == bulk::Arrangement::kRowWise;
+      col |= *c.arrangement == bulk::Arrangement::kColumnWise;
+      if (*c.arrangement == bulk::Arrangement::kBlocked) {
+        blocked = true;
+        EXPECT_NE(c.block, 0u);
+        ragged |= 12u % c.block != 0;  // padded last block
+      }
+      if (*c.arrangement == bulk::Arrangement::kConflictFree) {
+        conflict_free = true;
+        EXPECT_NE(c.block, 0u);  // pad stride
+      }
+      continue;
+    }
     interpreted |= c.backend == exec::Backend::kInterpreted;
     compiled |= c.backend == exec::Backend::kCompiled;
-    row |= c.arrangement == bulk::Arrangement::kRowWise;
-    col |= c.arrangement == bulk::Arrangement::kColumnWise;
-    if (c.arrangement == bulk::Arrangement::kBlocked) {
-      blocked = true;
-      EXPECT_NE(c.block, 0u);
-      ragged |= 12u % c.block != 0;  // padded last block
-    }
-    if (c.arrangement == bulk::Arrangement::kConflictFree) {
-      conflict_free = true;
-      EXPECT_NE(c.block, 0u);  // pad stride
-    }
-    planner_searched |= c.via_planner && !c.tune;
-    planner_tuned |= c.via_planner && c.tune;
     tile1 |= c.tile_lanes == 1;
     tile3 |= c.tile_lanes == 3;
     workers2 |= c.workers == 2;
@@ -137,8 +139,7 @@ TEST(FuzzMatrix, CoversEveryAxis) {
   EXPECT_TRUE(blocked);
   EXPECT_TRUE(ragged) << "a non-divisor block must exercise the padded tail";
   EXPECT_TRUE(conflict_free);
-  EXPECT_TRUE(planner_searched) << "arrangement-search path must be in the matrix";
-  EXPECT_TRUE(planner_tuned) << "auto-tuner path must be in the matrix";
+  EXPECT_TRUE(planner) << "arrangement-search path must be in the matrix";
   EXPECT_TRUE(tile1);
   EXPECT_TRUE(tile3);
   EXPECT_TRUE(workers2);
@@ -259,7 +260,7 @@ TEST(FuzzReproducer, RoundTripsThroughText) {
   repro.program = check::generate_program(rng);
   repro.input_seed = 0xdeadbeefULL;
   repro.p = 17;
-  repro.note = "compiled/row/sse2/tile=0 (unit test)";
+  repro.note = "compiled/sse2/tile=0 (unit test)";
   const std::string text = check::write_reproducer(repro);
   const check::Reproducer parsed = check::parse_reproducer(text);
   EXPECT_EQ(parsed.input_seed, repro.input_seed);

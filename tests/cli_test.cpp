@@ -110,7 +110,7 @@ TEST(ObxCli, CommandHelpPrintsThatCommandsUsageAndExitsZero) {
   const CliRun run = obx_cli("plan --help");
   EXPECT_EQ(run.exit_code, 0) << run.err;
   EXPECT_EQ(run.out.rfind("usage: obx_cli plan <algorithm>", 0), 0u) << run.out;
-  EXPECT_NE(run.out.find("--tune-trials"), std::string::npos);
+  EXPECT_NE(run.out.find("--arrangement-param"), std::string::npos);
   EXPECT_EQ(run.out.find("bench-net"), std::string::npos) << "printed every command";
 }
 
@@ -121,6 +121,25 @@ TEST(ObxCli, UnknownOptionPrintsUsageAndFailsWithoutACheckTrace) {
   EXPECT_NE(run.err.find("usage: obx_cli plan"), std::string::npos) << run.err;
   EXPECT_EQ(run.err.find("OBX_CHECK"), std::string::npos) << run.err;
   EXPECT_EQ(run.err.find("logic_error"), std::string::npos) << run.err;
+}
+
+// The host runs one memory image: the arrangement is a model knob of
+// `plan` and `time`, and `run` refuses it as a usage error.
+TEST(ObxCli, RunRejectsAnArrangementAsAUsageError) {
+  for (const char* flag : {"--arrangement row", "--arrangement-param 4"}) {
+    const CliRun run = obx_cli(std::string("run prefix-sums --n 8 --p 4 ") + flag);
+    EXPECT_EQ(run.exit_code, 2) << flag;
+    EXPECT_NE(run.err.find("usage: obx_cli run"), std::string::npos) << run.err;
+  }
+  EXPECT_EQ(obx_cli("run prefix-sums --n 8 --p 4").exit_code, 0);
+}
+
+TEST(ObxCli, TunerFlagsAreUnknownOptions) {
+  for (const char* flag : {"--tune", "--tune-trials 2", "--tune-lanes 8"}) {
+    const CliRun run = obx_cli(std::string("plan prefix-sums ") + flag);
+    EXPECT_EQ(run.exit_code, 2) << flag;
+    EXPECT_NE(run.err.find("unknown option --tune"), std::string::npos) << run.err;
+  }
 }
 
 TEST(ObxCli, UnknownAlgorithmIsAUsageErrorToo) {

@@ -336,8 +336,8 @@ TEST(CorePool, ManyShortLivedExternalSubmitters) {
 /// Bit-identical output across worker counts: the scheduler may reorder and
 /// steal tiles, but every lane's result (and the arranged memory image as a
 /// whole) must match the workers = 1 inline run exactly — for every registry
-/// algorithm, both plannable arrangements, and the scalar + widest SIMD
-/// tiers, through the shared process-wide pool.
+/// algorithm and the scalar + widest SIMD tiers, through the shared
+/// process-wide pool.
 TEST(CorePoolEquivalence, BitIdenticalAcrossWorkerCountsEverywhere) {
   const std::size_t p = 65;  // ragged against every tile and vector width
   std::vector<SimdIsa> tiers{SimdIsa::kScalar};
@@ -352,25 +352,21 @@ TEST(CorePoolEquivalence, BitIdenticalAcrossWorkerCountsEverywhere) {
       const auto one = algo.make_input(n, rng);
       inputs.insert(inputs.end(), one.begin(), one.end());
     }
-    for (const Arrangement arr : {Arrangement::kRowWise, Arrangement::kColumnWise}) {
-      const Layout layout = make_layout(program, p, arr);
-      for (const SimdIsa isa : tiers) {
-        const HostBulkExecutor serial(
-            layout, HostBulkExecutor::Options{
-                        .workers = 1, .backend = exec::Backend::kCompiled, .simd = isa});
-        const HostBulkExecutor pooled(
-            layout, HostBulkExecutor::Options{
-                        .workers = 4, .backend = exec::Backend::kCompiled, .simd = isa});
-        const HostRunResult a = serial.run(program, inputs);
-        const HostRunResult b = pooled.run(program, inputs);
-        ASSERT_EQ(a.backend, b.backend);
-        ASSERT_EQ(a.memory, b.memory)
-            << algo.name << " " << layout.name() << " tier " << to_string(isa);
-        EXPECT_EQ(a.counts.total(), b.counts.total()) << algo.name;
-        EXPECT_EQ(serial.gather_outputs(program, a.memory),
-                  pooled.gather_outputs(program, b.memory))
-            << algo.name;
-      }
+    for (const SimdIsa isa : tiers) {
+      const HostBulkExecutor serial(
+          p, HostBulkExecutor::Options{
+                 .workers = 1, .backend = exec::Backend::kCompiled, .simd = isa});
+      const HostBulkExecutor pooled(
+          p, HostBulkExecutor::Options{
+                 .workers = 4, .backend = exec::Backend::kCompiled, .simd = isa});
+      const HostRunResult a = serial.run(program, inputs);
+      const HostRunResult b = pooled.run(program, inputs);
+      ASSERT_EQ(a.backend, b.backend);
+      ASSERT_EQ(a.memory, b.memory) << algo.name << " tier " << to_string(isa);
+      EXPECT_EQ(a.counts.total(), b.counts.total()) << algo.name;
+      EXPECT_EQ(serial.gather_outputs(program, a.memory),
+                pooled.gather_outputs(program, b.memory))
+          << algo.name;
     }
   }
 }
@@ -390,9 +386,8 @@ TEST(CorePoolEquivalence, GatherAtTheCrossoverFansOutBitIdentically) {
     const auto one = algo.make_input(kN, rng);
     inputs.insert(inputs.end(), one.begin(), one.end());
   }
-  const Layout layout = make_layout(program, p, Arrangement::kColumnWise);
-  const HostBulkExecutor serial(layout, HostBulkExecutor::Options{.workers = 1});
-  const HostBulkExecutor pooled(layout, HostBulkExecutor::Options{.workers = 4});
+  const HostBulkExecutor serial(p, HostBulkExecutor::Options{.workers = 1});
+  const HostBulkExecutor pooled(p, HostBulkExecutor::Options{.workers = 4});
   const HostRunResult run = serial.run(program, inputs);
   const std::vector<Word> expected = serial.gather_outputs(program, run.memory);
 

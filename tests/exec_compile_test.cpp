@@ -1,6 +1,6 @@
 // Compile cache, budget fallback and straddle, segmenting, compiled-backend
-// corner cases (the empty program, the full opcode surface, the arrangement x
-// ragged-lane x tile matrix), and fusion-pass unit tests.
+// corner cases (the empty program, the full opcode surface, the ragged-lane x
+// tile matrix), and fusion-pass unit tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -68,8 +68,7 @@ TEST(CompileCache, StreamDrainedAtMostOncePerProcess) {
   const trace::Program copy = program;
   for (unsigned workers : {1u, 4u}) {
     const bulk::HostBulkExecutor exec(
-        bulk::Layout::column_wise(p, program.memory_words),
-        bulk::HostBulkExecutor::Options{.workers = workers, .tile_lanes = 16});
+        p, bulk::HostBulkExecutor::Options{.workers = workers, .tile_lanes = 16});
     const auto run1 = exec.run(program, inputs);
     const auto run2 = exec.run(copy, inputs);
     EXPECT_EQ(run1.backend, exec::Backend::kCompiled);
@@ -85,9 +84,8 @@ TEST(CompileCache, OverBudgetFallsBackAndRemembersFailure) {
   const std::vector<Word> inputs = iota_inputs(p, kCountingWords);
 
   const bulk::HostBulkExecutor exec(
-      bulk::Layout::column_wise(p, program.memory_words),
-      bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
-                                      .compile_budget_steps = 4});
+      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
+                                         .compile_budget_steps = 4});
   const auto run1 = exec.run(program, inputs);
   EXPECT_EQ(run1.backend, exec::Backend::kInterpreted);  // automatic fallback
   // One aborted compile drain + one interpreted chunk.
@@ -136,19 +134,18 @@ TEST(CompileCache, CompileBudgetStraddle) {
   constexpr std::size_t kSteps = kCountingWords * 3;
   const std::size_t p = 4;
   const std::vector<Word> inputs = iota_inputs(p, kCountingWords);
-  const bulk::Layout layout = bulk::Layout::column_wise(p, program.memory_words);
 
   program.exec_cache = std::make_shared<trace::ExecCacheSlot>();
   const bulk::HostBulkExecutor under(
-      layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
-                                              .compile_budget_steps = kSteps - 1});
+      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
+                                         .compile_budget_steps = kSteps - 1});
   const auto under_run = under.run(program, inputs);
   EXPECT_EQ(under_run.backend, exec::Backend::kInterpreted);
 
   program.exec_cache = std::make_shared<trace::ExecCacheSlot>();
   const bulk::HostBulkExecutor exact(
-      layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
-                                              .compile_budget_steps = kSteps});
+      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
+                                         .compile_budget_steps = kSteps});
   const auto exact_run = exact.run(program, inputs);
   EXPECT_EQ(exact_run.backend, exec::Backend::kCompiled);
   EXPECT_EQ(under_run.memory, exact_run.memory);
@@ -173,9 +170,8 @@ TEST(CompiledProgramTest, SegmentBoundariesPreserveSemantics) {
   ASSERT_NE(compiled, nullptr);
   ASSERT_GT(compiled->segments().size(), 1u);
 
-  const bulk::Layout layout = bulk::Layout::column_wise(p, program.memory_words);
-  std::vector<Word> memory(layout.total_words(), Word{0});
-  exec::run_compiled_chunk(*compiled, layout, inputs, program.input_words, memory, 0, p,
+  std::vector<Word> memory(p * program.memory_words, Word{0});
+  exec::run_compiled_chunk(*compiled, p, inputs, program.input_words, memory, 0, p,
                            /*tile_lanes=*/4);
 
   for (std::size_t j = 0; j < p; ++j) {
@@ -184,7 +180,7 @@ TEST(CompiledProgramTest, SegmentBoundariesPreserveSemantics) {
         std::span<const Word>(inputs.data() + j * program.input_words,
                               program.input_words));
     for (std::size_t a = 0; a < program.memory_words; ++a) {
-      ASSERT_EQ(memory[layout.global(static_cast<Addr>(a), j)], ref.memory[a])
+      ASSERT_EQ(memory[a * p + j], ref.memory[a])
           << "lane " << j << " word " << a;
     }
   }
@@ -210,8 +206,7 @@ TEST(CompiledProgramTest, EmptyProgramCompilesAndRuns) {
   for (std::size_t i = 0; i < inputs.size(); ++i) inputs[i] = i + 11;
 
   const bulk::HostBulkExecutor exec(
-      bulk::Layout::column_wise(p, 4),
-      bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled});
+      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled});
   const auto run = exec.run(program, inputs);
   EXPECT_EQ(run.backend, exec::Backend::kCompiled);
   for (std::size_t j = 0; j < p; ++j) {
@@ -258,16 +253,15 @@ TEST(CompiledProgramTest, FullOpcodeSurfaceMatchesOracle) {
     Rng rng(p);
     for (Word& w : inputs) w = rng.next_u64();
     const std::vector<Word> oracle = check::oracle_memory(program, inputs, p);
-    const bulk::Layout layout = bulk::Layout::column_wise(p, n);
     for (const SimdIsa isa : {SimdIsa::kScalar, detect_simd_isa()}) {
       const bulk::HostBulkExecutor exec(
-          layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
-                                                  .simd = isa});
+          p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
+                                             .simd = isa});
       const auto run = exec.run(program, inputs);
       ASSERT_EQ(run.backend, exec::Backend::kCompiled);
       for (std::size_t j = 0; j < p; ++j) {
         for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(run.memory[layout.global(static_cast<Addr>(i), j)], oracle[j * n + i])
+          ASSERT_EQ(run.memory[i * p + j], oracle[j * n + i])
               << "p=" << p << " simd=" << obx::to_string(isa) << " lane=" << j
               << " word=" << i;
         }
@@ -276,22 +270,14 @@ TEST(CompiledProgramTest, FullOpcodeSurfaceMatchesOracle) {
   }
 }
 
-// The acceptance matrix of the compiled engine: every arrangement x ragged
-// lane count x tile size must be bit-identical to trace::interpret, and must
-// actually run compiled (backend == kCompiled), not a silent fallback.
-TEST(CompiledProgramTest, BitIdenticalAcrossArrangementsRaggedLanesAndTiles) {
+// The acceptance matrix of the compiled engine: every ragged lane count x
+// tile size must be bit-identical to trace::interpret, and must actually run
+// compiled (backend == kCompiled), not a silent fallback.
+TEST(CompiledProgramTest, BitIdenticalAcrossRaggedLanesAndTiles) {
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const std::size_t n = 32;
   const trace::Program program = algo.make_program(n);
 
-  struct Arr {
-    bulk::Arrangement arrangement;
-    std::size_t param;
-  };
-  const std::vector<Arr> arrangements{{bulk::Arrangement::kColumnWise, 0},
-                                      {bulk::Arrangement::kRowWise, 0},
-                                      {bulk::Arrangement::kBlocked, 4},
-                                      {bulk::Arrangement::kConflictFree, 2}};
   for (const std::size_t p : {std::size_t{1}, std::size_t{3}, std::size_t{7},
                               std::size_t{9}, std::size_t{63}, std::size_t{65}}) {
     Rng rng(7 * p + 1);
@@ -301,24 +287,16 @@ TEST(CompiledProgramTest, BitIdenticalAcrossArrangementsRaggedLanesAndTiles) {
       inputs.insert(inputs.end(), one.begin(), one.end());
     }
     const std::vector<Word> oracle = check::oracle_memory(program, inputs, p);
-    for (const Arr& arr : arrangements) {
-      for (const std::size_t tile : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-        const bulk::Layout layout =
-            bulk::make_layout(program, p, arr.arrangement, arr.param);
-        const bulk::HostBulkExecutor exec(
-            layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
-                                                    .tile_lanes = tile});
-        const auto run = exec.run(program, inputs);
-        ASSERT_EQ(run.backend, exec::Backend::kCompiled)
-            << "p=" << p << " arr=" << bulk::to_string(arr.arrangement)
-            << " tile=" << tile;
-        for (std::size_t j = 0; j < p; ++j) {
-          for (std::size_t i = 0; i < program.memory_words; ++i) {
-            ASSERT_EQ(run.memory[layout.global(static_cast<Addr>(i), j)],
-                      oracle[j * program.memory_words + i])
-                << "p=" << p << " arr=" << bulk::to_string(arr.arrangement)
-                << " tile=" << tile << " lane=" << j << " word=" << i;
-          }
+    for (const std::size_t tile : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+      const bulk::HostBulkExecutor exec(
+          p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
+                                             .tile_lanes = tile});
+      const auto run = exec.run(program, inputs);
+      ASSERT_EQ(run.backend, exec::Backend::kCompiled) << "p=" << p << " tile=" << tile;
+      for (std::size_t j = 0; j < p; ++j) {
+        for (std::size_t i = 0; i < program.memory_words; ++i) {
+          ASSERT_EQ(run.memory[i * p + j], oracle[j * program.memory_words + i])
+              << "p=" << p << " tile=" << tile << " lane=" << j << " word=" << i;
         }
       }
     }

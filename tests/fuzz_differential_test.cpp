@@ -4,7 +4,9 @@
 // For each seed: generate a random (but valid) step stream, random machine
 // parameters and arrangement, then check
 //   HostBulkExecutor lane j  ==  interpret(program, input_j)     (function)
-//   UmmBulkExecutor          ==  HostBulkExecutor                (function)
+//   UmmBulkExecutor          ==  HostBulkExecutor                (function,
+//                                 every word, arrangement mapped to the
+//                                 host's column-wise image)
 //   UmmBulkExecutor units    ==  TimingEstimator units           (timing)
 // across serialized/overlap and group-size variants.
 #include <gtest/gtest.h>
@@ -94,7 +96,7 @@ TEST_P(DifferentialFuzz, AllEnginesAgree) {
   const bulk::Layout layout = bulk::make_layout(program, p, arrangement);
 
   // 1. Host executor vs scalar interpreter, per lane.
-  const bulk::HostBulkExecutor host(layout);
+  const bulk::HostBulkExecutor host(p);
   const bulk::HostRunResult host_run = host.run(program, inputs);
   const std::vector<Word> host_out = host.gather_outputs(program, host_run.memory);
   for (std::size_t j = 0; j < p; ++j) {
@@ -111,7 +113,13 @@ TEST_P(DifferentialFuzz, AllEnginesAgree) {
   // 2. Machine simulator vs host executor (function) and estimator (timing).
   const bulk::UmmBulkExecutor sim(model, cfg, layout);
   const bulk::UmmRunResult sim_run = sim.run(program, inputs);
-  ASSERT_EQ(sim_run.memory, host_run.memory) << "seed " << GetParam();
+  for (std::size_t j = 0; j < p; ++j) {
+    for (std::size_t i = 0; i < program.memory_words; ++i) {
+      ASSERT_EQ(sim_run.memory[layout.global(static_cast<Addr>(i), j)],
+                host_run.memory[i * p + j])
+          << "lane " << j << " word " << i << " (seed " << GetParam() << ")";
+    }
+  }
 
   const bulk::TimingEstimator estimator(model, cfg, layout);
   const bulk::TimingResult est = estimator.run(program);

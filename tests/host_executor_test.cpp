@@ -1,9 +1,10 @@
 // Lockstep host executor vs the scalar interpreter: bit-identical results on
-// every arrangement, every algorithm, and with multi-threaded chunking.
+// every algorithm, in the column-wise image, and with multi-threaded
+// chunking.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <tuple>
+#include <string>
 #include <vector>
 
 #include "algos/algorithm.hpp"
@@ -27,12 +28,10 @@ std::vector<Word> flat_inputs(const algos::Algorithm& algo, std::size_t n, std::
   return inputs;
 }
 
-using Case = std::tuple<std::string, Arrangement>;
-
-class HostExecutorEquivalence : public ::testing::TestWithParam<Case> {};
+class HostExecutorEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(HostExecutorEquivalence, MatchesInterpreterPerLane) {
-  const auto& [name, arrangement] = GetParam();
+  const std::string& name = GetParam();
   const algos::Algorithm& algo = algos::find(name);
   // Use a small-to-moderate size so the sweep stays fast.
   const std::size_t n = algo.test_sizes[algo.test_sizes.size() / 2];
@@ -42,11 +41,9 @@ TEST_P(HostExecutorEquivalence, MatchesInterpreterPerLane) {
   Rng rng(1234);
   const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
 
-  Layout layout = arrangement == Arrangement::kBlocked
-                      ? Layout::blocked(p, program.memory_words, 1)
-                      : make_layout(program, p, arrangement);
-  const HostBulkExecutor exec(layout);
+  const HostBulkExecutor exec(p);
   const HostRunResult run = exec.run(program, inputs);
+  ASSERT_EQ(run.memory.size(), p * program.memory_words);
   const std::vector<Word> outputs = exec.gather_outputs(program, run.memory);
 
   for (std::size_t j = 0; j < p; ++j) {
@@ -61,21 +58,16 @@ TEST_P(HostExecutorEquivalence, MatchesInterpreterPerLane) {
   }
 }
 
-std::vector<Case> all_cases() {
-  std::vector<Case> cases;
-  for (const auto& algo : algos::registry()) {
-    cases.emplace_back(algo.name, Arrangement::kRowWise);
-    cases.emplace_back(algo.name, Arrangement::kColumnWise);
-    cases.emplace_back(algo.name, Arrangement::kBlocked);
-  }
+std::vector<std::string> all_cases() {
+  std::vector<std::string> cases;
+  for (const auto& algo : algos::registry()) cases.push_back(algo.name);
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgorithmsAllArrangements, HostExecutorEquivalence,
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, HostExecutorEquivalence,
                          ::testing::ValuesIn(all_cases()),
-                         [](const ::testing::TestParamInfo<Case>& param_info) {
-                           std::string name = std::get<0>(param_info.param) + "_" +
-                                              to_string(std::get<1>(param_info.param));
+                         [](const ::testing::TestParamInfo<std::string>& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }
@@ -90,26 +82,11 @@ TEST(HostExecutor, MultiThreadedMatchesSingle) {
   Rng rng(7);
   const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
 
-  const Layout layout = Layout::column_wise(p, program.memory_words);
-  const HostBulkExecutor single(layout, HostBulkExecutor::Options{.workers = 1});
-  const HostBulkExecutor multi(layout, HostBulkExecutor::Options{.workers = 4});
+  const HostBulkExecutor single(p, HostBulkExecutor::Options{.workers = 1});
+  const HostBulkExecutor multi(p, HostBulkExecutor::Options{.workers = 4});
   const auto a = single.run(program, inputs);
   const auto b = multi.run(program, inputs);
   EXPECT_EQ(a.memory, b.memory);
-}
-
-TEST(HostExecutor, BlockedChunksAlignToBlocks) {
-  const algos::Algorithm& algo = algos::find("prefix-sums");
-  const std::size_t n = 16;
-  const std::size_t p = 24;
-  const trace::Program program = algo.make_program(n);
-  Rng rng(8);
-  const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
-
-  const Layout layout = Layout::blocked(p, program.memory_words, 8);
-  const HostBulkExecutor multi(layout, HostBulkExecutor::Options{.workers = 5});
-  const HostBulkExecutor single(layout, HostBulkExecutor::Options{.workers = 1});
-  EXPECT_EQ(multi.run(program, inputs).memory, single.run(program, inputs).memory);
 }
 
 // kCompiled runs the compiled engine while the program fits the compile
@@ -122,17 +99,16 @@ TEST(HostExecutor, CompiledBackendCompilesInBudgetAndFallsBackOverBudget) {
   trace::Program program = algo.make_program(n);
   Rng rng(10);
   const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
-  const Layout layout = Layout::column_wise(p, program.memory_words);
 
   const HostRunResult fits =
-      HostBulkExecutor(layout, HostBulkExecutor::Options{.backend = exec::Backend::kCompiled})
+      HostBulkExecutor(p, HostBulkExecutor::Options{.backend = exec::Backend::kCompiled})
           .run(program, inputs);
   EXPECT_EQ(fits.backend, exec::Backend::kCompiled);
 
   program.exec_cache = std::make_shared<trace::ExecCacheSlot>();
   const HostRunResult over =
-      HostBulkExecutor(layout, HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
-                                                         .compile_budget_steps = 1})
+      HostBulkExecutor(p, HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
+                                                    .compile_budget_steps = 1})
           .run(program, inputs);
   EXPECT_EQ(over.backend, exec::Backend::kInterpreted);
   EXPECT_EQ(fits.memory, over.memory);
@@ -140,12 +116,11 @@ TEST(HostExecutor, CompiledBackendCompilesInBudgetAndFallsBackOverBudget) {
 
 TEST(HostExecutor, RejectsMismatchedSizes) {
   const trace::Program program = algos::find("prefix-sums").make_program(8);
-  const Layout wrong = Layout::column_wise(4, 9);
-  EXPECT_THROW(HostBulkExecutor(wrong).run(program, std::vector<Word>(32)),
-               std::logic_error);
-  const Layout right = Layout::column_wise(4, 8);
-  EXPECT_THROW(HostBulkExecutor(right).run(program, std::vector<Word>(31)),
-               std::logic_error);
+  EXPECT_THROW(HostBulkExecutor(5).run(program, std::vector<Word>(32)), std::logic_error);
+  EXPECT_THROW(HostBulkExecutor(4).run(program, std::vector<Word>(31)), std::logic_error);
+  const HostBulkExecutor four(4);
+  const HostRunResult run = four.run(program, std::vector<Word>(32));
+  EXPECT_THROW(HostBulkExecutor(5).gather_outputs(program, run.memory), std::logic_error);
 }
 
 TEST(HostExecutor, ReportsPerInputStepCounts) {
@@ -154,12 +129,12 @@ TEST(HostExecutor, ReportsPerInputStepCounts) {
   Rng rng(9);
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const std::vector<Word> inputs = flat_inputs(algo, 10, p, rng);
-  const HostBulkExecutor exec(Layout::column_wise(p, program.memory_words));
+  const HostBulkExecutor exec(p);
   const HostRunResult run = exec.run(program, inputs);
   EXPECT_EQ(run.counts.memory(), 20u);
 }
 
-TEST(RunBulk, ConvenienceApiMatchesArrangements) {
+TEST(RunBulk, ConvenienceApiMatchesInterpreterAtAnyWorkerCount) {
   const algos::Algorithm& algo = algos::find("bitonic-sort");
   const std::size_t n = 64;
   const std::size_t p = 6;
@@ -167,15 +142,18 @@ TEST(RunBulk, ConvenienceApiMatchesArrangements) {
   Rng rng(10);
   const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
 
-  const BulkOutputs row = run_bulk(program, inputs, p, Arrangement::kRowWise);
-  const BulkOutputs col = run_bulk(program, inputs, p, Arrangement::kColumnWise);
-  ASSERT_EQ(row.count(), p);
-  ASSERT_EQ(col.count(), p);
-  EXPECT_EQ(row.flat.size(), col.flat.size());
+  const BulkOutputs one = run_bulk(program, inputs, p);
+  const BulkOutputs two = run_bulk(program, inputs, p, 2);
+  ASSERT_EQ(one.count(), p);
+  EXPECT_EQ(one.flat, two.flat);
   for (std::size_t j = 0; j < p; ++j) {
-    const auto a = row.output(j);
-    const auto b = col.output(j);
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+    const std::span<const Word> input(inputs.data() + j * program.input_words,
+                                      program.input_words);
+    const trace::InterpreterResult ref = trace::interpret(program, input);
+    const auto expected = ref.output(program);
+    const auto got = one.output(j);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], expected[i]);
   }
 }
 

@@ -459,15 +459,14 @@ TEST(PlanEquivalenceTest, PlanDrivenRunMatchesDirectExecutorAcrossRegistry) {
     const std::size_t n = algo.test_sizes.front();
     const trace::Program program = algo.make_program(n);
     const std::vector<Word> inputs = lane_inputs(algo, n, p, /*seed=*/7);
+    // Direct: the pre-plan executor surface on the unoptimised program.
+    const bulk::HostBulkExecutor direct(p);
+    const auto direct_run = direct.run(program, inputs);
+    const std::vector<Word> expected = direct.gather_outputs(program, direct_run.memory);
     for (const auto arr :
          {bulk::Arrangement::kRowWise, bulk::Arrangement::kColumnWise}) {
-      // Direct: the pre-plan executor surface on the unoptimised program.
-      const bulk::HostBulkExecutor direct(bulk::make_layout(program, p, arr));
-      const auto direct_run = direct.run(program, inputs);
-      const std::vector<Word> expected =
-          direct.gather_outputs(program, direct_run.memory);
-
-      // Plan-driven: same arrangement forced so the comparison is exact.
+      // Plan-driven: the forced arrangement is the model's, so it must not
+      // change what the host computes.
       plan::PlanOptions options;
       options.arrangement = arr;
       const auto plan = plan::build_plan(program, options);
@@ -517,7 +516,7 @@ TEST(PlanEquivalenceTest, PlanConstructedExecutorsMatchPlanRun) {
   plan::run(*plan, inputs, p, &expected);
 
   const bulk::HostBulkExecutor host(*plan, p);
-  EXPECT_EQ(host.layout().lanes(), p);
+  EXPECT_EQ(host.lanes(), p);
   const auto run = host.run(plan->program(), inputs);
   EXPECT_EQ(run.backend, plan->backend());
   EXPECT_EQ(host.gather_outputs(plan->program(), run.memory), expected);

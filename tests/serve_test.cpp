@@ -585,41 +585,17 @@ TEST(LoadGen, ClosedLoopCompletesEveryJob) {
   service.stop();
 }
 
-// The prepare options carry the planner's measuring auto-tuner: with tune off,
-// registration under the conflict-heavy machine picks the conflict-free
-// arrangement on the simulated prior; a tuned prepare with a scripted clock
-// that makes row-wise fastest must change the chosen arrangement.
-TEST(ProgramCacheTest, TunedPrepareChangesChosenArrangement) {
+// A prepared program reports the planner's model pick: under the
+// conflict-heavy machine the simulated search picks the conflict-free
+// arrangement for a sorting network.
+TEST(ProgramCacheTest, PreparedArrangementIsTheModelPick) {
   const algos::Algorithm& algo = algos::find("bitonic-sort");
-  const std::size_t n = 64;
-
-  plan::PlanOptions untuned;
-  untuned.machine = umm::conflict_heavy_example();
-  untuned.reference_lanes = 64;
-  ProgramCache cache(untuned);
-  cache.add("sort", algo.make_program(n));
+  plan::PlanOptions options;
+  options.machine = umm::conflict_heavy_example();
+  options.reference_lanes = 64;
+  ProgramCache cache(options);
+  cache.add("sort", algo.make_program(64));
   EXPECT_EQ(cache.get("sort").arrangement(), bulk::Arrangement::kConflictFree);
-  EXPECT_FALSE(cache.get("sort").plan().provenance().tuned);
-
-  plan::PlanOptions tuned = untuned;
-  tuned.tune.measure = true;
-  tuned.tune.trials = 2;
-  // Candidate order is column, row, blocked, conflict-free; each candidate
-  // makes trials*2 clock calls.  Calls 4..7 belong to row-wise: give it a
-  // 10ns trial against everyone else's 100ns.
-  auto calls = std::make_shared<std::size_t>(0);
-  tuned.tune.clock = [calls]() -> std::uint64_t {
-    const std::size_t i = (*calls)++;
-    const std::uint64_t width = (i >= 4 && i < 8) ? 10 : 100;
-    return (i / 2) * 1000 + (i % 2) * width;
-  };
-  ProgramCache tuned_cache(tuned);
-  tuned_cache.add("sort", algo.make_program(n));
-  const PreparedProgram& prepared = tuned_cache.get("sort");
-  EXPECT_TRUE(prepared.plan().provenance().tuned);
-  EXPECT_EQ(prepared.arrangement(), bulk::Arrangement::kRowWise);
-  EXPECT_NE(prepared.arrangement(), cache.get("sort").arrangement());
-  EXPECT_EQ(*calls, 16u);
 }
 
 /// A 64-lane serving batch of a small program is below the fan-out

@@ -23,8 +23,7 @@ TEST(Smoke, EndToEndPrefixSums) {
     inputs.insert(inputs.end(), one.begin(), one.end());
   }
 
-  const bulk::BulkOutputs outputs =
-      bulk::run_bulk(program, inputs, p, bulk::Arrangement::kColumnWise);
+  const bulk::BulkOutputs outputs = bulk::run_bulk(program, inputs, p);
   ASSERT_EQ(outputs.count(), p);
 
   for (std::size_t j = 0; j < p; ++j) {

@@ -93,6 +93,11 @@ int cmd_list(const cli::Args& args) {
 }
 
 int cmd_run(const cli::Args& args) {
+  if (args.has("arrangement") || args.has("arrangement-param")) {
+    throw cli::UsageError(
+        "run executes the column-wise host image; the arrangement is a model "
+        "knob of 'plan' and 'time'");
+  }
   const algos::Algorithm& algo = algo_from(args);
   const std::size_t n = static_cast<std::size_t>(args.get_int("n", 64));
   const std::size_t p = static_cast<std::size_t>(args.get_int("p", 64));
@@ -106,12 +111,8 @@ int cmd_run(const cli::Args& args) {
     const auto one = algo.make_input(n, rng);
     inputs.insert(inputs.end(), one.begin(), one.end());
   }
-  const bulk::Arrangement arr = arrangement_from(args);
-  const std::size_t arr_param = static_cast<std::size_t>(args.get_int(
-      "arrangement-param", arr == bulk::Arrangement::kBlocked ? 32 : 0));
   const auto t0 = std::chrono::steady_clock::now();
-  const bulk::BulkOutputs out =
-      bulk::run_bulk(program, inputs, p, arr, workers, arr_param);
+  const bulk::BulkOutputs out = bulk::run_bulk(program, inputs, p, workers);
   const auto t1 = std::chrono::steady_clock::now();
 
   // Verify every lane against the native reference.
@@ -157,9 +158,6 @@ int cmd_plan(const cli::Args& args) {
   if (args.has("arrangement")) options.arrangement = arrangement_from(args);
   options.arrangement_param =
       static_cast<std::size_t>(args.get_int("arrangement-param", 0));
-  options.tune.measure = args.get_bool("tune");
-  options.tune.trials = static_cast<std::size_t>(args.get_int("tune-trials", 3));
-  options.tune.lanes = static_cast<std::size_t>(args.get_int("tune-lanes", 0));
 
   const std::string id = algo.name + "/n=" + std::to_string(n);
   const std::shared_ptr<const plan::ExecutionPlan> plan =
@@ -724,19 +722,19 @@ struct Command {
 const Command kCommands[] = {
     {"list", "[--names]", cmd_list},
     {"run",
-     "<algorithm> --n 64 --p 256 [--arrangement row|col|blocked|cf]\n"
-     "    [--arrangement-param B] [--workers K] [--seed S]",
+     "<algorithm> --n 64 --p 256 [--workers K] [--seed S]\n"
+     "    (column-wise host run, every lane checked against the native\n"
+     "    reference)",
      cmd_run},
     {"plan",
      "<algorithm> [--n N] [--p P] [--width 32] [--latency 200]\n"
      "    [--group G] [--overlap] [--count-compute]\n"
      "    [--banks 32] [--bank-words W] [--shared-latency L]\n"
      "    [--arrangement row|col|blocked|cf] [--arrangement-param B]\n"
-     "    [--tune] [--tune-trials T] [--tune-lanes P]\n"
      "    [--no-optimise] [--no-compile]\n"
      "    (print the cached ExecutionPlan: decisions + provenance;\n"
-     "    --banks enables the shared/DMM tier, --tune refines the\n"
-     "    arrangement search with real micro-measurements)",
+     "    --banks enables the shared/DMM tier; the arrangement is\n"
+     "    the one the UMM/DMM model prices)",
      cmd_plan},
     {"time",
      "<algorithm> --n 64 --p 4096 [--width 32] [--latency 200]\n"
@@ -775,8 +773,9 @@ const Command kCommands[] = {
     {"fuzz",
      "[--seed S] [--iters N] [--max-steps M] [--no-shrink]\n"
      "    [--no-faults] [--no-net] | [--replay FILE]\n"
-     "    (differential fuzz of the backend/arrangement/SIMD matrix\n"
-     "    against the interpreter, plus serve fault-injection\n"
+     "    (differential fuzz of the host backend/SIMD/tile matrix and\n"
+     "    of every arrangement on the UMM simulator against the\n"
+     "    interpreter, plus serve fault-injection\n"
      "    campaigns, protocol frame fuzz and a network fault\n"
      "    campaign; --replay re-checks a saved reproducer)",
      cmd_fuzz},
@@ -815,10 +814,9 @@ int main(int argc, char** argv) {
         argc, argv,
         {"help", "overlap", "count-compute", "optimize", "snapshot", "names",
          "no-optimise", "no-compile", "no-shrink", "no-faults", "no-net",
-         "bursty", "scrape", "tune"},
+         "bursty", "scrape"},
         {"n", "p", "width", "latency", "group", "banks", "bank-words",
-         "shared-latency", "arrangement-param", "tune-trials", "tune-lanes",
-         "model", "arrangement", "workers",
+         "shared-latency", "arrangement-param", "model", "arrangement", "workers",
          "seed", "sms", "algos", "jobs", "rate", "producers", "batch-lanes",
          "batch-delays-us", "batch-delay-us", "executors", "policy", "queue-cap",
          "deadline-us", "iters", "max-steps", "replay", "listen", "duration-s",
