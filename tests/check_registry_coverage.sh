@@ -29,11 +29,14 @@ while IFS= read -r algo; do
     failures=$((failures + 1))
   fi
   flat="${algo//-/_}"
-  # One case per lane count: the sweep runs every algorithm on the host.
-  if ! grep -q "${flat}_p" <<< "$tests"; then
-    echo "NO EQUIVALENCE COVERAGE for '$algo': is it missing test_sizes?" >&2
-    failures=$((failures + 1))
-  fi
+  # One case per arrangement: all four must appear in the sweep.
+  for arrangement in row_wise column_wise blocked conflict_free; do
+    if ! grep -q "${flat}_${arrangement}_p" <<< "$tests"; then
+      echo "NO EQUIVALENCE COVERAGE for '$algo' (${arrangement}):" \
+           "is it missing test_sizes?" >&2
+      failures=$((failures + 1))
+    fi
+  done
 done < <("$cli" list --names)
 
 if [[ "$count" -eq 0 ]]; then

@@ -1,11 +1,14 @@
-// Compiled-backend equivalence fuzz: for every registry algorithm and
-// awkward lane counts, the compiled lane-tiled backend must produce a
-// bit-identical column-wise memory image to the interpreted backend, and both
-// must match the scalar interpreter per lane.  The same sweep pins the compiled backend to the
-// scalar SIMD tier and to the best tier this CPU/build supports and asserts
-// those are bit-identical too — the lane-vectorization contract (including
-// the float-op algorithms, whose lane-wise IEEE results must not change with
-// vector width).
+// Compiled-backend equivalence fuzz: for every registry algorithm, all four
+// arrangements (row, column, blocked, conflict-free), and awkward lane
+// counts, the compiled lane-tiled backend must produce a bit-identical
+// column-wise memory image to the interpreted backend, and both must match
+// the scalar interpreter per lane.  The same sweep pins the compiled backend
+// to the scalar SIMD tier and to the best tier this CPU/build supports and
+// asserts those are bit-identical too — the lane-vectorization contract
+// (including the float-op algorithms, whose lane-wise IEEE results must not
+// change with vector width).  The host runs column-wise only; the
+// arrangement axis is the UMM simulator's, whose arranged image must map
+// word for word onto the host's.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -14,6 +17,7 @@
 #include "algos/algorithm.hpp"
 #include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
+#include "bulk/umm_executor.hpp"
 #include "common/rng.hpp"
 #include "common/simd_isa.hpp"
 #include "exec/backend.hpp"
@@ -34,12 +38,23 @@ std::vector<Word> flat_inputs(const algos::Algorithm& algo, std::size_t n, std::
   return inputs;
 }
 
-using Case = std::tuple<std::string, std::size_t>;
+/// A block size that divides p, > 1 where possible, to make blocked layouts
+/// non-degenerate.
+std::size_t block_for(std::size_t p) {
+  switch (p) {
+    case 5: return 5;
+    case 33: return 11;
+    case 257: return 257;
+    default: return 1;
+  }
+}
+
+using Case = std::tuple<std::string, Arrangement, std::size_t>;
 
 class ExecEquivalence : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ExecEquivalence, CompiledMatchesInterpretedAndInterpreter) {
-  const auto& [name, p] = GetParam();
+  const auto& [name, arrangement, p] = GetParam();
   const algos::Algorithm& algo = algos::find(name);
   const std::size_t n = algo.test_sizes[algo.test_sizes.size() / 2];
   const trace::Program program = algo.make_program(n);
@@ -101,21 +116,50 @@ TEST_P(ExecEquivalence, CompiledMatchesInterpretedAndInterpreter) {
           << name << " lane " << j << " word " << i;
     }
   }
+
+  // The arrangement is the model's: the UMM simulator runs the arranged
+  // image (blocked with a p-dividing block, conflict-free with a non-trivial
+  // pad stride of 3) and every word must land where the host's column-wise
+  // image has it.
+  const Layout layout =
+      arrangement == Arrangement::kBlocked
+          ? Layout::blocked(p, program.memory_words, block_for(p))
+          : (arrangement == Arrangement::kConflictFree
+                 ? Layout::conflict_free(p, program.memory_words, 3)
+                 : make_layout(program, p, arrangement));
+  const UmmBulkExecutor sim(umm::Model::kUmm, umm::MachineConfig{.width = 8, .latency = 5},
+                            layout);
+  const UmmRunResult sim_run = sim.run(program, inputs);
+  for (std::size_t j = 0; j < p; ++j) {
+    for (std::size_t i = 0; i < program.memory_words; ++i) {
+      ASSERT_EQ(sim_run.memory[layout.global(static_cast<Addr>(i), j)],
+                b.memory[i * p + j])
+          << name << " " << layout.name() << " p=" << p << " lane " << j << " word " << i;
+    }
+  }
 }
 
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
   for (const auto& algo : algos::registry()) {
-    for (const std::size_t p : {1u, 5u, 33u, 257u}) cases.emplace_back(algo.name, p);
+    for (const Arrangement arrangement :
+         {Arrangement::kRowWise, Arrangement::kColumnWise, Arrangement::kBlocked,
+          Arrangement::kConflictFree}) {
+      for (const std::size_t p : {1u, 5u, 33u, 257u}) {
+        cases.emplace_back(algo.name, arrangement, p);
+      }
+    }
   }
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgorithmsLanes, ExecEquivalence,
+INSTANTIATE_TEST_SUITE_P(AllAlgorithmsArrangementsLanes, ExecEquivalence,
                          ::testing::ValuesIn(all_cases()),
                          [](const ::testing::TestParamInfo<Case>& param_info) {
-                           std::string name = std::get<0>(param_info.param) + "_p" +
-                                              std::to_string(std::get<1>(param_info.param));
+                           std::string name = std::get<0>(param_info.param) + "_" +
+                                              to_string(std::get<1>(param_info.param)) +
+                                              "_p" +
+                                              std::to_string(std::get<2>(param_info.param));
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

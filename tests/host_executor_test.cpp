@@ -1,16 +1,19 @@
 // Lockstep host executor vs the scalar interpreter: bit-identical results on
-// every algorithm, in the column-wise image, and with multi-threaded
-// chunking.
+// every algorithm, in the column-wise image whatever arrangement the plan's
+// model picked, and with multi-threaded chunking.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "algos/algorithm.hpp"
 #include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
 #include "common/rng.hpp"
+#include "plan/plan.hpp"
+#include "plan/planner.hpp"
 #include "trace/interpreter.hpp"
 
 namespace {
@@ -28,10 +31,12 @@ std::vector<Word> flat_inputs(const algos::Algorithm& algo, std::size_t n, std::
   return inputs;
 }
 
-class HostExecutorEquivalence : public ::testing::TestWithParam<std::string> {};
+using Case = std::tuple<std::string, Arrangement>;
+
+class HostExecutorEquivalence : public ::testing::TestWithParam<Case> {};
 
 TEST_P(HostExecutorEquivalence, MatchesInterpreterPerLane) {
-  const std::string& name = GetParam();
+  const auto& [name, arrangement] = GetParam();
   const algos::Algorithm& algo = algos::find(name);
   // Use a small-to-moderate size so the sweep stays fast.
   const std::size_t n = algo.test_sizes[algo.test_sizes.size() / 2];
@@ -56,18 +61,36 @@ TEST_P(HostExecutorEquivalence, MatchesInterpreterPerLane) {
           << name << " lane " << j << " word " << i;
     }
   }
+
+  // A plan forced to this arrangement (blocked with block 1, the row-wise
+  // degenerate) reports the model's pick, and the plan-driven run still
+  // uses the p·n column-wise image and agrees with the direct executor.
+  plan::PlanOptions options;
+  options.arrangement = arrangement;
+  if (arrangement == Arrangement::kBlocked) options.arrangement_param = 1;
+  const auto plan = plan::build_plan(program, options);
+  EXPECT_EQ(plan->arrangement(), arrangement);
+  std::vector<Word> plan_outputs;
+  const HostRunResult plan_run = plan::run(*plan, inputs, p, &plan_outputs);
+  EXPECT_EQ(plan_run.memory.size(), p * plan->program().memory_words);
+  EXPECT_EQ(plan_outputs, outputs) << name << " " << to_string(arrangement);
 }
 
-std::vector<std::string> all_cases() {
-  std::vector<std::string> cases;
-  for (const auto& algo : algos::registry()) cases.push_back(algo.name);
+std::vector<Case> all_cases() {
+  std::vector<Case> cases;
+  for (const auto& algo : algos::registry()) {
+    cases.emplace_back(algo.name, Arrangement::kRowWise);
+    cases.emplace_back(algo.name, Arrangement::kColumnWise);
+    cases.emplace_back(algo.name, Arrangement::kBlocked);
+  }
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, HostExecutorEquivalence,
+INSTANTIATE_TEST_SUITE_P(AllAlgorithmsAllArrangements, HostExecutorEquivalence,
                          ::testing::ValuesIn(all_cases()),
-                         [](const ::testing::TestParamInfo<std::string>& param_info) {
-                           std::string name = param_info.param;
+                         [](const ::testing::TestParamInfo<Case>& param_info) {
+                           std::string name = std::get<0>(param_info.param) + "_" +
+                                              to_string(std::get<1>(param_info.param));
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }
